@@ -135,6 +135,7 @@ fn main() {
     println!("wrote BENCH_atlas.json");
     thistle_bench::append_history(
         "atlas",
+        quick,
         &[
             ("donor_ms", donor_ms),
             ("cold_ms", cold_ms),

@@ -238,6 +238,7 @@ fn main() {
     println!("wrote BENCH_expr.json");
     thistle_bench::append_history(
         "expr",
+        quick,
         &[
             ("signomial_legacy_ns", legacy_sig_ns),
             ("signomial_compiled_ns", compiled_sig_ns),

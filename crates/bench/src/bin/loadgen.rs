@@ -629,6 +629,7 @@ fn main() {
     println!("wrote {out}");
     thistle_bench::append_history(
         "serve_loadgen",
+        quick,
         &[
             ("wall_ms", wall_ms),
             ("p50_ms", p50),

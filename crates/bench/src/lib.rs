@@ -134,11 +134,10 @@ impl TraceCapture {
 ///
 /// The serve tier already tail-samples served requests (trigger span
 /// `request`); a figure run is one process optimizing dozens of layers, so
-/// the interesting unit is the per-permutation-pair `gp_solve` span inside
-/// each sweep — or, under the batched engine, the `batch_solve` span that
-/// covers a whole structural-class group. This sink retains the slowest (or
-/// failed) of either across the whole run and writes the single worst one as
-/// a Chrome trace for triage.
+/// the interesting unit is the `gp_solve` span inside each sweep (one per
+/// distinct GP content). This sink retains the slowest (or failed) of them
+/// across the whole run and writes the single worst one as a Chrome trace
+/// for triage.
 pub struct ExemplarCapture {
     sink: Arc<ExemplarSink>,
     out: PathBuf,
@@ -166,8 +165,8 @@ impl ExemplarCapture {
             .and_then(|i| argv.get(i + 1))
             .map_or_else(|| PathBuf::from(default_out), PathBuf::from);
         Some(ExemplarCapture {
-            sink: Arc::new(ExemplarSink::with_triggers(
-                &["gp_solve", "batch_solve"],
+            sink: Arc::new(ExemplarSink::new(
+                "gp_solve",
                 Self::BUFFER_RECORDS,
                 Self::MAX_EXEMPLARS,
             )),
@@ -296,18 +295,15 @@ impl ProfileCapture {
 }
 
 /// Appends one JSON line to `BENCH_history.jsonl` in the current directory:
-/// the bench name, the fast/full mode, a wall-clock stamp, and the run's
-/// key scalar metrics. The perf-regression sentinel (`thistle-cli
-/// perfdiff`) compares such records across commits.
-pub fn append_history(bench: &str, metrics: &[(&str, f64)]) {
+/// the bench name, whether the bench ran its `quick` budget, a wall-clock
+/// stamp, and the run's key scalar metrics. The perf-regression sentinel
+/// (`thistle-cli perfdiff`) compares such records across commits.
+pub fn append_history(bench: &str, quick: bool, metrics: &[(&str, f64)]) {
     let unix_ms = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_millis())
         .unwrap_or(0);
-    let mut line = format!(
-        "{{\"bench\":\"{bench}\",\"quick\":{},\"unix_ms\":{unix_ms}",
-        fast_mode()
-    );
+    let mut line = format!("{{\"bench\":\"{bench}\",\"quick\":{quick},\"unix_ms\":{unix_ms}");
     for (name, value) in metrics {
         line.push_str(&format!(",\"{name}\":{value:.6}"));
     }

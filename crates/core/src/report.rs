@@ -59,11 +59,14 @@ pub struct SolveReport {
     /// Lowered constraint rows actually re-lowered during the near-miss
     /// patch (0 for cold solves).
     pub rows_relowered: u64,
-    /// Structural classes the batched sweep grouped the permutation pairs
-    /// into (0 when the sweep ran sequentially).
+    /// Distinct GP contents the sweep solved its permutation pairs as (each
+    /// content is solved once and shared by every pair that lowers to it;
+    /// 0 for a near-miss solve, which runs no sweep). The name predates the
+    /// deduplicated sweep and is kept for the atlas snapshot and serve JSON.
     pub batch_classes: u32,
-    /// Permutation-pair members driven through the batched lockstep engine
-    /// during the sweep (0 when the sweep ran sequentially).
+    /// Permutation pairs the sweep submitted for a solve: generated pairs
+    /// minus those an injected `core.sweep.solve` fault killed (0 for a
+    /// near-miss solve).
     pub batch_members: u32,
 }
 

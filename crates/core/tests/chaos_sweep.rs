@@ -9,7 +9,7 @@
 //! tests against the process-global registry.
 #![cfg(feature = "fault-inject")]
 
-use thistle::{OptimizeError, Optimizer, OptimizerOptions};
+use thistle::{DesignPoint, OptimizeError, Optimizer, OptimizerOptions};
 use thistle_arch::{ArchConfig, TechnologyParams};
 use thistle_fault::FaultPlan;
 use thistle_model::{ArchMode, ConvLayer, Objective};
@@ -37,6 +37,16 @@ fn mode() -> ArchMode {
     ArchMode::Fixed(ArchConfig::eyeriss())
 }
 
+/// A sweep with no fault armed. It holds the registry's exclusive guard with
+/// an empty plan, so a chaos case running concurrently in this binary
+/// cannot leak its faults into the clean reference.
+fn clean_point(threads: usize, layer: &ConvLayer, mode: &ArchMode) -> DesignPoint {
+    let _guard = FaultPlan::new().install();
+    optimizer(threads)
+        .optimize_layer(layer, Objective::Energy, mode)
+        .unwrap()
+}
+
 /// `site=K1,K2,...` clause killing every swept pair except `winner`.
 fn kill_all_but(site: &str, winner: usize) -> String {
     let keys: Vec<String> = (0..MAX_PAIRS)
@@ -48,9 +58,7 @@ fn kill_all_but(site: &str, winner: usize) -> String {
 
 #[test]
 fn armed_feature_without_a_plan_changes_nothing() {
-    let clean = optimizer(2)
-        .optimize_layer(&layer(), Objective::Energy, &mode())
-        .unwrap();
+    let clean = clean_point(2, &layer(), &mode());
     assert!(!clean.degraded);
     assert!(clean.ledger.is_clean());
     assert_eq!(clean.ledger.failed(), 0);
@@ -63,9 +71,7 @@ fn armed_feature_without_a_plan_changes_nothing() {
 #[test]
 fn killing_losing_pairs_leaves_the_winner_bit_identical() {
     let (layer, mode) = (layer(), mode());
-    let clean = optimizer(2)
-        .optimize_layer(&layer, Objective::Energy, &mode)
-        .unwrap();
+    let clean = clean_point(2, &layer, &mode);
     let plan = kill_all_but("core.sweep.solve", clean.perm_pair);
 
     let mut degraded_runs = Vec::new();
@@ -97,9 +103,7 @@ fn killing_losing_pairs_leaves_the_winner_bit_identical() {
 #[test]
 fn panicking_losing_pairs_are_contained_and_counted() {
     let (layer, mode) = (layer(), mode());
-    let clean = optimizer(2)
-        .optimize_layer(&layer, Objective::Energy, &mode)
-        .unwrap();
+    let clean = clean_point(2, &layer, &mode);
     let plan = kill_all_but("core.sweep.panic", clean.perm_pair);
     let _guard = FaultPlan::parse(&plan).unwrap().install();
     let point = optimizer(4)

@@ -33,10 +33,8 @@ impl Default for SolveOptions {
 }
 
 /// The [`BarrierOptions`] a cold [`GpProblem::solve`] runs with for the given
-/// caller-facing options. Shared with the batched engine so its per-member
-/// scalar fallbacks (and the sweep's confirmation re-solves) are bit-identical
-/// to the sequential path.
-pub(crate) fn cold_barrier_options(options: &SolveOptions) -> BarrierOptions {
+/// caller-facing options.
+fn cold_barrier_options(options: &SolveOptions) -> BarrierOptions {
     BarrierOptions {
         gap_tol: options.gap_tolerance,
         newton_tol: options.newton_tolerance,
@@ -369,6 +367,54 @@ impl GpProblem {
     }
 }
 
+/// The content fingerprint of a GP: a 128-bit hash over every coefficient
+/// and exponent *bit pattern*, every variable index, the registry length,
+/// and the exact term and constraint order — everything the solver reads.
+/// Two problems with equal fingerprints are (modulo a ~2^-128 collision)
+/// byte-identical inputs to the solver, and the solver is deterministic, so
+/// their solutions are bit-identical. The optimizer's permutation sweep
+/// keys on this: permutation pairs routinely lower to the *same* GP (loop
+/// symmetries the class pruner cannot see), and one exact solve serves
+/// every duplicate with perfect fidelity.
+pub fn content_fingerprint(p: &GpProblem) -> (u64, u64) {
+    // Two independent FNV-1a streams with distinct offset bases; together
+    // they behave as one 128-bit fingerprint.
+    let mut h1: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h2: u64 = 0x6c62_272e_07bb_0142;
+    let mut put = |v: u64| {
+        h1 = (h1 ^ v).wrapping_mul(0x0000_0100_0000_01b3);
+        h2 = (h2 ^ v.rotate_left(17)).wrapping_mul(0x0000_0100_0000_01b3);
+    };
+    let put_powers = |put: &mut dyn FnMut(u64), m: &Monomial| {
+        for (v, a) in m.powers() {
+            put(v.index() as u64);
+            put(a.to_bits());
+        }
+    };
+    let put_posynomial = |put: &mut dyn FnMut(u64), g: &Posynomial| {
+        for (c, m) in g.terms() {
+            put(c.to_bits());
+            put_powers(put, m);
+            put(u64::MAX); // term separator
+        }
+        put(u64::MAX - 1); // posynomial separator
+    };
+    put(p.registry().len() as u64);
+    match p.objective() {
+        Some(obj) => put_posynomial(&mut put, obj),
+        None => put(u64::MAX - 3),
+    }
+    for g in p.inequalities() {
+        put_posynomial(&mut put, g);
+    }
+    for m in p.equalities() {
+        put(m.coeff().to_bits());
+        put_powers(&mut put, m);
+        put(u64::MAX - 2); // equality separator
+    }
+    (h1, h2)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -499,5 +545,107 @@ mod tests {
         let mut bad = Assignment::ones(1);
         bad.set(x, 4.0);
         assert!(prob.constraint_violation(&bad) > 0.9);
+    }
+
+    /// Knobs for [`fingerprint_problem`]: each field perturbs one input the
+    /// solver reads.
+    #[derive(Clone, Copy)]
+    struct Knobs {
+        /// Unused variables appended to the registry.
+        extra_vars: usize,
+        /// Exponent of `x` in the product constraint.
+        x_exponent: f64,
+        /// Whether the two inequality rows are emitted in swapped order.
+        swap_rows: bool,
+        /// Coefficient of the equality `c * x / y = 1`.
+        eq_coeff: f64,
+    }
+
+    const BASE: Knobs = Knobs {
+        extra_vars: 0,
+        x_exponent: -1.0,
+        swap_rows: false,
+        eq_coeff: 0.5,
+    };
+
+    /// min x + y  s.t.  8 x^a / y <= 1,  x / 100 <= 1,  c x / y = 1.
+    fn fingerprint_problem(k: Knobs) -> GpProblem {
+        let mut reg = VarRegistry::new();
+        let x = reg.var("x");
+        let y = reg.var("y");
+        for i in 0..k.extra_vars {
+            reg.var(&format!("z{i}"));
+        }
+        let mut prob = GpProblem::new(reg);
+        prob.set_objective(Posynomial::from_var(x) + Posynomial::from_var(y));
+        let rows = [
+            Monomial::new(8.0, [(x, k.x_exponent), (y, -1.0)]),
+            Monomial::new(0.01, [(x, 1.0)]),
+        ];
+        let order = if k.swap_rows { [1, 0] } else { [0, 1] };
+        for i in order {
+            prob.add_le(Posynomial::from(rows[i].clone()), Monomial::one());
+        }
+        prob.add_eq(
+            Monomial::new(k.eq_coeff, [(x, 1.0), (y, -1.0)]),
+            Monomial::one(),
+        );
+        prob
+    }
+
+    #[test]
+    fn fingerprint_is_equal_for_equal_problems() {
+        let a = fingerprint_problem(BASE);
+        let b = fingerprint_problem(BASE);
+        assert_eq!(content_fingerprint(&a), content_fingerprint(&b));
+        // Same bytes in, same bits out: the property the sweep's
+        // duplicate elimination stands on.
+        let (sa, sb) = (
+            a.solve(&SolveOptions::default()).unwrap(),
+            b.solve(&SolveOptions::default()).unwrap(),
+        );
+        assert_eq!(sa.objective.to_bits(), sb.objective.to_bits());
+    }
+
+    #[test]
+    fn fingerprint_sees_a_one_ulp_exponent_change() {
+        let nudged = f64::from_bits(BASE.x_exponent.to_bits() + 1);
+        assert_ne!(nudged, BASE.x_exponent);
+        let a = fingerprint_problem(BASE);
+        let b = fingerprint_problem(Knobs {
+            x_exponent: nudged,
+            ..BASE
+        });
+        assert_ne!(content_fingerprint(&a), content_fingerprint(&b));
+    }
+
+    #[test]
+    fn fingerprint_sees_swapped_rows() {
+        let a = fingerprint_problem(BASE);
+        let b = fingerprint_problem(Knobs {
+            swap_rows: true,
+            ..BASE
+        });
+        assert_ne!(content_fingerprint(&a), content_fingerprint(&b));
+    }
+
+    #[test]
+    fn fingerprint_sees_registry_length() {
+        let a = fingerprint_problem(BASE);
+        let b = fingerprint_problem(Knobs {
+            extra_vars: 1,
+            ..BASE
+        });
+        assert_ne!(content_fingerprint(&a), content_fingerprint(&b));
+    }
+
+    #[test]
+    fn fingerprint_sees_equality_coefficients() {
+        let a = fingerprint_problem(BASE);
+        let b = fingerprint_problem(Knobs {
+            eq_coeff: 0.25,
+            ..BASE
+        });
+        assert_ne!(content_fingerprint(&a), content_fingerprint(&b));
     }
 }

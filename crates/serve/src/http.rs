@@ -39,16 +39,17 @@
 //!   of recent fresh solves (Newton iterations per centering step, gap
 //!   trajectory, recovery, condensation, prefilter and arena counters).
 //!
-//! One short-lived thread per connection (`Connection: close`), a polling
-//! accept loop so shutdown needs no signals, and a drain phase that waits
-//! for active connections before `shutdown` returns.
+//! One short-lived thread per connection (`Connection: close`), an accept
+//! loop that blocks while idle and that shutdown wakes with a loopback
+//! connect (no signals needed), and a drain phase that waits for active
+//! connections before `shutdown` returns.
 
 use crate::json::{num_u64, Json};
 use crate::service::{ServeError, Service};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -66,6 +67,10 @@ const MAX_LINE: usize = 8 << 10;
 const MAX_HEADER_BYTES: usize = 32 << 10;
 /// How long `shutdown` waits for in-flight connections to finish.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(30);
+/// Accept-loop poll interval while connections are parked in the backlog.
+const BACKLOG_POLL: Duration = Duration::from_millis(5);
+/// Connect deadline for the shutdown wake-up of a blocked accept loop.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 /// Socket write deadline: a client that stops reading its response cannot
 /// hold the connection slot forever.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
@@ -110,7 +115,7 @@ impl Default for HttpOptions {
 
 /// A running HTTP server.
 pub struct HttpServer {
-    port: u16,
+    local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     active: Arc<AtomicUsize>,
     accept_loop: Option<JoinHandle<()>>,
@@ -140,7 +145,7 @@ impl HttpServer {
         options: HttpOptions,
     ) -> std::io::Result<HttpServer> {
         let listener = TcpListener::bind(addr)?;
-        let port = listener.local_addr()?.port();
+        let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let active = Arc::new(AtomicUsize::new(0));
@@ -175,6 +180,13 @@ impl HttpServer {
                     // arrivals are fast-rejected instead of queued, so
                     // overload cannot grow memory without limit.
                     let mut backlog: VecDeque<TcpStream> = VecDeque::new();
+                    // Blocking accepts while nothing is parked: an idle
+                    // loop sleeps in the kernel and wakes the moment a
+                    // client connects (shutdown wakes it with a connect of
+                    // its own). Parked connections need promoting as soon
+                    // as a slot frees, which no accept reports, so the loop
+                    // polls non-blocking until the backlog drains.
+                    let mut blocking = false;
                     loop {
                         if shutdown.load(Ordering::Acquire) {
                             break;
@@ -187,7 +199,14 @@ impl HttpServer {
                             };
                             spawn_conn(stream, &service, &active, &options);
                         }
+                        let want_blocking = backlog.is_empty();
+                        if want_blocking != blocking
+                            && listener.set_nonblocking(!want_blocking).is_ok()
+                        {
+                            blocking = want_blocking;
+                        }
                         match listener.accept() {
+                            Ok(_) if shutdown.load(Ordering::Acquire) => break,
                             Ok((stream, _)) => {
                                 if active.load(Ordering::Acquire) < max_connections {
                                     spawn_conn(stream, &service, &active, &options);
@@ -199,15 +218,15 @@ impl HttpServer {
                                 }
                             }
                             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(Duration::from_millis(5));
+                                std::thread::sleep(BACKLOG_POLL);
                             }
-                            Err(_) => std::thread::sleep(Duration::from_millis(5)),
+                            Err(_) => std::thread::sleep(BACKLOG_POLL),
                         }
                     }
                 })?
         };
         Ok(HttpServer {
-            port,
+            local_addr,
             shutdown,
             active,
             accept_loop: Some(accept_loop),
@@ -216,7 +235,7 @@ impl HttpServer {
 
     /// The bound port (useful with `"...:0"`).
     pub fn port(&self) -> u16 {
-        self.port
+        self.local_addr.port()
     }
 
     /// Connections currently being served.
@@ -232,6 +251,16 @@ impl HttpServer {
 
     fn stop_and_drain(&mut self) {
         self.shutdown.store(true, Ordering::Release);
+        // Wake an accept loop blocked in `accept` with a connection of our
+        // own; it sees the flag as soon as the accept returns.
+        let mut wake = self.local_addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect_timeout(&wake, WAKE_TIMEOUT);
         if let Some(handle) = self.accept_loop.take() {
             let _ = handle.join();
         }
@@ -1462,12 +1491,12 @@ fn handle_dashboard_diff(spec: &str, service: &Service) -> Reply {
         rb.rows_relowered as f64,
     );
     num_row(
-        "batch classes",
+        "sweep contents",
         f64::from(ra.batch_classes),
         f64::from(rb.batch_classes),
     );
     num_row(
-        "batch members",
+        "sweep pairs",
         f64::from(ra.batch_members),
         f64::from(rb.batch_members),
     );

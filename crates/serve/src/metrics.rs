@@ -49,11 +49,8 @@ pub enum Stage {
     QueueWait,
     /// Permutation-class enumeration.
     PermEnum,
-    /// One geometric-program solve (per permutation pair).
+    /// One geometric-program solve (per distinct GP content of a sweep).
     GpSolve,
-    /// One batched lockstep solve of a structural-class group (up to
-    /// `thistle_expr::LANES` permutation pairs per solve).
-    BatchSolve,
     /// Lowering a GP into its compiled log-sum-exp evaluation form.
     ExprCompile,
     /// Signomial condensation refinement rounds.
@@ -65,13 +62,12 @@ pub enum Stage {
 }
 
 impl Stage {
-    pub const ALL: [Stage; 10] = [
+    pub const ALL: [Stage; 9] = [
         Stage::Request,
         Stage::CacheLookup,
         Stage::QueueWait,
         Stage::PermEnum,
         Stage::GpSolve,
-        Stage::BatchSolve,
         Stage::ExprCompile,
         Stage::Condense,
         Stage::Integerize,
@@ -86,7 +82,6 @@ impl Stage {
             Stage::QueueWait => "queue_wait",
             Stage::PermEnum => "perm_enum",
             Stage::GpSolve => "gp_solve",
-            Stage::BatchSolve => "batch_solve",
             Stage::ExprCompile => "expr_compile",
             Stage::Condense => "condensation",
             Stage::Integerize => "integerize",
@@ -102,7 +97,6 @@ impl Stage {
             "queue_wait" => Some(Stage::QueueWait),
             "perm_enum" => Some(Stage::PermEnum),
             "gp_solve" => Some(Stage::GpSolve),
-            "batch_solve" => Some(Stage::BatchSolve),
             "expr_compile" => Some(Stage::ExprCompile),
             "condensation" => Some(Stage::Condense),
             "integerize" => Some(Stage::Integerize),

@@ -318,6 +318,9 @@ fn recovered_nan_solve_is_introspectable_via_the_debug_endpoints() {
 fn abandoned_solve_is_cancelled_not_leaked() {
     // Full-size sweep so the solve reliably outlives the request timeout;
     // no fault plan needed — this exercises the cancellation token alone.
+    // The empty plan holds the registry so a concurrent test's hit-counted
+    // plan cannot fire in (or be consumed by) these solves.
+    let _guard = FaultPlan::new().install();
     let optimizer =
         Optimizer::new(TechnologyParams::cgo2022_45nm()).with_options(OptimizerOptions {
             threads: 2,

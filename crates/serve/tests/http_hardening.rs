@@ -221,3 +221,28 @@ fn slowloris_header_dribble_is_cut_off_with_408() {
     assert!(healthz_is_green(server.port()));
     server.shutdown();
 }
+
+/// An idle accept loop blocks in `accept`; `shutdown` must wake it and
+/// return promptly, on a loopback bind and on the unspecified address
+/// (where the wake-up connect goes to loopback).
+#[test]
+fn idle_server_shuts_down_within_a_second() {
+    for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let server = HttpServer::start(Arc::new(quick_service()), addr).expect("bind");
+        // Serve one request, then let the loop settle back into a blocking
+        // accept on an empty backlog.
+        assert!(healthz_is_green(server.port()), "{addr}: not serving");
+        std::thread::sleep(Duration::from_millis(50));
+        // Shut down on a helper thread so a wedged accept loop fails the
+        // test instead of hanging it.
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            server.shutdown();
+            let _ = done.send(());
+        });
+        assert!(
+            finished.recv_timeout(Duration::from_secs(1)).is_ok(),
+            "{addr}: shutdown of an idle server took over a second"
+        );
+    }
+}
