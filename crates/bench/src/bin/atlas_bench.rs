@@ -42,6 +42,7 @@ fn main() {
             ..OptimizerOptions::default()
         }
     };
+    let threads = options.threads;
     let optimizer = Optimizer::new(tech()).with_options(options);
 
     // The Fig. 5 setting: same-area co-design, representative ResNet layer,
@@ -136,6 +137,7 @@ fn main() {
     thistle_bench::append_history(
         "atlas",
         quick,
+        threads,
         &[
             ("donor_ms", donor_ms),
             ("cold_ms", cold_ms),

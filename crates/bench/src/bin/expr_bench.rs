@@ -236,9 +236,11 @@ fn main() {
     );
     std::fs::write("BENCH_expr.json", json).expect("write BENCH_expr.json");
     println!("wrote BENCH_expr.json");
+    // Every measurement here runs on the calling thread.
     thistle_bench::append_history(
         "expr",
         quick,
+        1,
         &[
             ("signomial_legacy_ns", legacy_sig_ns),
             ("signomial_compiled_ns", compiled_sig_ns),

@@ -533,24 +533,15 @@ fn main() {
     // Per-lock contention accounting from the server's `/metrics` JSON:
     // (acquisitions, contended, wait samples, wait p95 ms) per named lock.
     let lock_stat = |name: &str| -> (u64, u64, u64, f64) {
-        server
-            .as_ref()
-            .and_then(|j| j.get("locks"))
-            .and_then(|l| l.get(name))
-            .map(|l| {
-                let wait = l.get("wait_ms");
-                (
-                    l.get("acquisitions").and_then(Json::as_u64).unwrap_or(0),
-                    l.get("contended").and_then(Json::as_u64).unwrap_or(0),
-                    wait.and_then(|w| w.get("count"))
-                        .and_then(Json::as_u64)
-                        .unwrap_or(0),
-                    wait.and_then(|w| w.get("p95"))
-                        .and_then(Json::as_f64)
-                        .unwrap_or(0.0),
-                )
-            })
-            .unwrap_or((0, 0, 0, 0.0))
+        let family = |key: &str| server.as_ref()?.get(key)?.get(name);
+        let count = |key: &str| family(key).and_then(Json::as_u64).unwrap_or(0);
+        let wait = |key: &str| family("lock_wait_ms").and_then(|w| w.get(key));
+        (
+            count("lock_acquisitions"),
+            count("lock_contended"),
+            wait("count").and_then(Json::as_u64).unwrap_or(0),
+            wait("p95").and_then(Json::as_f64).unwrap_or(0.0),
+        )
     };
     let cache_lock = lock_stat("solve_cache");
     let inflight_lock = lock_stat("inflight");
@@ -627,9 +618,11 @@ fn main() {
     );
     std::fs::write(&out, json).expect("write loadgen result file");
     println!("wrote {out}");
+    // Open loop: one dispatcher thread per planned request.
     thistle_bench::append_history(
         "serve_loadgen",
         quick,
+        requests,
         &[
             ("wall_ms", wall_ms),
             ("p50_ms", p50),
@@ -652,7 +645,7 @@ fn main() {
         }
     }
     if let Some(bound) = assert_healthz_ms {
-        if !(healthz_worst_ms <= bound) || healthz_failures > 0 {
+        if healthz_worst_ms.is_nan() || healthz_worst_ms > bound || healthz_failures > 0 {
             eprintln!(
                 "ASSERT FAILED: healthz worst {healthz_worst_ms} ms (bound {bound}), \
                  {healthz_failures} failures"

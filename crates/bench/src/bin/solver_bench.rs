@@ -281,6 +281,7 @@ fn main() {
     thistle_bench::append_history(
         "solver",
         quick,
+        options.threads,
         &[
             ("sweep_speedup", sweep_speedup),
             ("total_speedup", total_speedup),

@@ -296,14 +296,30 @@ impl ProfileCapture {
 
 /// Appends one JSON line to `BENCH_history.jsonl` in the current directory:
 /// the bench name, whether the bench ran its `quick` budget, a wall-clock
-/// stamp, and the run's key scalar metrics. The perf-regression sentinel
-/// (`thistle-cli perfdiff`) compares such records across commits.
-pub fn append_history(bench: &str, quick: bool, metrics: &[(&str, f64)]) {
+/// stamp, what ran (the commit as `git rev-parse --short HEAD`, or
+/// `"unknown"` outside a git checkout; the bench's own thread count; the
+/// cores available to it, 0 if unknown), and the run's key scalar metrics.
+/// The perf-regression sentinel (`thistle-cli perfdiff`) compares such
+/// records across commits.
+pub fn append_history(bench: &str, quick: bool, threads: usize, metrics: &[(&str, f64)]) {
     let unix_ms = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_millis())
         .unwrap_or(0);
-    let mut line = format!("{{\"bench\":\"{bench}\",\"quick\":{quick},\"unix_ms\":{unix_ms}");
+    let git_rev = std::process::Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|rev| rev.trim().to_string())
+        .filter(|rev| !rev.is_empty() && rev.chars().all(|c| c.is_ascii_hexdigit()))
+        .unwrap_or_else(|| "unknown".into());
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let mut line = format!(
+        "{{\"bench\":\"{bench}\",\"quick\":{quick},\"unix_ms\":{unix_ms},\
+         \"git_rev\":\"{git_rev}\",\"threads\":{threads},\"nproc\":{nproc}"
+    );
     for (name, value) in metrics {
         line.push_str(&format!(",\"{name}\":{value:.6}"));
     }
@@ -322,13 +338,14 @@ pub fn append_history(bench: &str, quick: bool, metrics: &[(&str, f64)]) {
 
 /// Prints how much solve sharing a figure run got out of the service cache.
 pub fn print_service_sharing(service: &Service) {
-    let m = service.metrics().snapshot();
+    let m = service.registry_snapshot();
+    let count = |name: &str| m.counter(name, None).unwrap_or(0);
+    let (hits, misses) = (count("cache_hits_total"), count("cache_misses_total"));
     println!(
-        "\nservice: {} requests, {} cache hits ({:.0}%), {} coalesced, {} solves cached",
-        m.requests,
-        m.cache_hits,
-        m.cache_hit_rate() * 100.0,
-        m.coalesced,
+        "\nservice: {} requests, {hits} cache hits ({:.0}%), {} coalesced, {} solves cached",
+        count("requests_total"),
+        hits as f64 / (hits + misses).max(1) as f64 * 100.0,
+        count("coalesced_total"),
         service.cache_len(),
     );
 }

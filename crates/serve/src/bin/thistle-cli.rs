@@ -895,12 +895,12 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         );
     }
     if let Some(path) = &atlas_path {
-        let snap = service.metrics_snapshot();
+        let snap = service.registry_snapshot();
         println!(
             "atlas: {} ({} entries restored, {} damaged records skipped)",
             path.display(),
-            snap.atlas_restored_entries,
-            snap.atlas_load_errors
+            snap.gauge("atlas_restored_entries").unwrap_or(0),
+            snap.gauge("atlas_load_errors").unwrap_or(0)
         );
     }
     let server = HttpServer::start_with(

@@ -7,10 +7,11 @@
 //!   `coalesced` flags and a `breakdown` object decomposing the request's
 //!   wall-clock time into parse / queue-wait / lock-wait / coalesce-wait /
 //!   solve / serialize phases.
-//! * `GET /metrics` — counters, cache hit rate and occupancy, p50/p95 solve
-//!   latency, per-stage histograms, in-flight gauge. Append
+//! * `GET /metrics` — every registry metric: request counters, cache
+//!   occupancy, p50/p95 solve latency, per-span and per-phase latency
+//!   histograms, lock contention, the in-flight gauge. Append
 //!   `?format=prometheus` for text exposition instead of JSON; both formats
-//!   render the same [`crate::metrics::MetricsSnapshot`].
+//!   render the same [`thistle_obs::RegistrySnapshot`].
 //! * `GET /healthz` — liveness probe, stamped with the build info and the
 //!   serving optimizer's solver-fingerprint digest.
 //! * `GET /debug/profile?seconds=N&hz=M` — runs the span-stack sampling
@@ -45,6 +46,7 @@
 //! connections before `shutdown` returns.
 
 use crate::json::{num_u64, Json};
+use crate::metrics::LatencyBreakdown;
 use crate::service::{ServeError, Service};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -58,6 +60,7 @@ use thistle::{DesignPoint, SolveReport};
 use thistle_arch::ArchConfig;
 use thistle_model::{ArchMode, CoDesignSpec, ConvLayer, Objective};
 use thistle_obs::dashboard::{self, escape_html, fmt_value};
+use thistle_obs::{contention, HistogramSummary, RegistrySnapshot};
 
 /// Largest accepted request body; optimize requests are a few hundred bytes.
 const MAX_BODY: usize = 1 << 20;
@@ -552,11 +555,11 @@ fn route(request: &Request, service: &Service) -> Reply {
     match (request.method.as_str(), request.path.as_str()) {
         ("POST", "/optimize") => handle_optimize(&request.body, service),
         ("GET", "/metrics") => {
-            let snapshot = service.metrics_snapshot();
+            let snapshot = service.registry_snapshot();
             if query_param(&request.query, "format") == Some("prometheus") {
-                Reply::new(200, Body::Text(snapshot.to_prometheus()))
+                Reply::new(200, Body::Text(snapshot.to_prometheus("thistle_")))
             } else {
-                Reply::new(200, Body::Json(snapshot.to_json()))
+                Reply::new(200, Body::RawJson(snapshot.to_json()))
             }
         }
         ("GET", "/healthz") => Reply::new(
@@ -716,7 +719,17 @@ fn handle_timeseries(service: &Service) -> Reply {
     let records_json = load
         .records
         .iter()
-        .map(timeseries_record_json)
+        .map(|r| {
+            Json::Obj(vec![
+                ("ts_unix_ms".into(), num_u64(r.ts_unix_ms)),
+                ("fingerprint".into(), Json::Str(r.fingerprint_digest())),
+                ("build".into(), Json::Str(r.build.clone())),
+                (
+                    "metrics".into(),
+                    Json::parse(&r.snapshot.to_json()).unwrap_or(Json::Null),
+                ),
+            ])
+        })
         .collect::<Vec<Json>>();
     Reply::new(
         200,
@@ -728,103 +741,59 @@ fn handle_timeseries(service: &Service) -> Reply {
     )
 }
 
-/// JSON rendering of one [`thistle_atlas::TimeSeriesRecord`]. Family
-/// members render under `name{key=value}` keys, matching the registry's own
-/// JSON render.
-fn timeseries_record_json(r: &thistle_atlas::TimeSeriesRecord) -> Json {
-    let series_key = |name: &str, label: &Option<(String, String)>| match label {
-        None => name.to_string(),
-        Some((k, v)) => format!("{name}{{{k}={v}}}"),
-    };
-    let counters = r
-        .snapshot
-        .counters
-        .iter()
-        .map(|c| (series_key(&c.name, &c.label), num_u64(c.value)))
-        .collect();
-    let gauges = r
-        .snapshot
-        .gauges
-        .iter()
-        .map(|g| (g.name.clone(), num_u64(g.value)))
-        .collect();
-    let histograms = r
-        .snapshot
-        .histograms
-        .iter()
-        .map(|h| {
-            (
-                series_key(&h.name, &h.label),
-                Json::Obj(vec![
-                    ("count".into(), num_u64(h.summary.count)),
-                    ("p50".into(), Json::Num(h.summary.p50)),
-                    ("p95".into(), Json::Num(h.summary.p95)),
-                ]),
-            )
-        })
-        .collect();
-    Json::Obj(vec![
-        ("ts_unix_ms".into(), num_u64(r.ts_unix_ms)),
-        ("fingerprint".into(), Json::Str(r.fingerprint_digest())),
-        ("build".into(), Json::Str(r.build.clone())),
-        ("counters".into(), Json::Obj(counters)),
-        ("gauges".into(), Json::Obj(gauges)),
-        ("histograms".into(), Json::Obj(histograms)),
-    ])
-}
-
 /// `GET /debug/contention`: the contention observatory's raw view —
 /// per-named-lock wait/hold accounting (with a derived contention rate),
 /// the per-phase request-latency histograms, and the most recent complete
 /// per-request breakdowns in arrival order.
 fn handle_contention(service: &Service) -> Reply {
-    let snap = service.metrics_snapshot();
-    let locks = snap
-        .locks
-        .iter()
-        .map(|l| {
-            let rate = if l.acquisitions == 0 {
+    let snap = service.registry_snapshot();
+    let locks = observed_locks(&snap)
+        .map(|lock| {
+            let acquisitions = snap
+                .counter(contention::LOCK_ACQUISITIONS_TOTAL, Some(lock))
+                .unwrap_or(0);
+            let contended = snap
+                .counter(contention::LOCK_CONTENDED_TOTAL, Some(lock))
+                .unwrap_or(0);
+            let rate = if acquisitions == 0 {
                 0.0
             } else {
-                l.contended as f64 / l.acquisitions as f64
+                contended as f64 / acquisitions as f64
             };
+            let hold = snap
+                .histogram(contention::LOCK_HOLD_MS, Some(lock))
+                .unwrap_or_default();
             (
-                l.lock.clone(),
+                lock.to_string(),
                 Json::Obj(vec![
-                    ("acquisitions".into(), num_u64(l.acquisitions)),
-                    ("contended".into(), num_u64(l.contended)),
+                    ("acquisitions".into(), num_u64(acquisitions)),
+                    ("contended".into(), num_u64(contended)),
                     ("contention_rate".into(), Json::Num(rate)),
                     (
                         "wait_ms".into(),
-                        Json::Obj(vec![
-                            ("count".into(), num_u64(l.wait_count)),
-                            ("p50".into(), Json::Num(l.wait_p50_ms)),
-                            ("p95".into(), Json::Num(l.wait_p95_ms)),
-                        ]),
+                        summary_json(
+                            snap.histogram(contention::LOCK_WAIT_MS, Some(lock))
+                                .unwrap_or_default(),
+                        ),
                     ),
                     (
                         "hold_ms".into(),
                         Json::Obj(vec![
-                            ("p50".into(), Json::Num(l.hold_p50_ms)),
-                            ("p95".into(), Json::Num(l.hold_p95_ms)),
+                            ("p50".into(), Json::Num(hold.p50)),
+                            ("p95".into(), Json::Num(hold.p95)),
                         ]),
                     ),
                 ]),
             )
         })
         .collect();
-    let phases = snap
-        .phases
+    let phases = LatencyBreakdown::PHASES
         .iter()
-        .map(|p| {
-            (
-                p.phase.to_string(),
-                Json::Obj(vec![
-                    ("count".into(), num_u64(p.count)),
-                    ("p50".into(), Json::Num(p.p50_ms)),
-                    ("p95".into(), Json::Num(p.p95_ms)),
-                ]),
-            )
+        .map(|&phase| {
+            let summary = snap
+                .histogram("phase_latency_ms", Some(phase))
+                .unwrap_or_default();
+            (phase.to_string(), summary_json(summary))
         })
         .collect();
     let recent = service
@@ -841,6 +810,24 @@ fn handle_contention(service: &Service) -> Reply {
             ("recent_breakdowns".into(), Json::Arr(recent)),
         ])),
     )
+}
+
+/// Names of the locks the contention observatory tracks, in registration
+/// order (none when lock observation is off).
+fn observed_locks(snap: &RegistrySnapshot) -> impl Iterator<Item = &str> {
+    snap.counters
+        .iter()
+        .filter(|c| c.name == contention::LOCK_ACQUISITIONS_TOTAL)
+        .filter_map(|c| c.label.as_ref().map(|(_, lock)| lock.as_str()))
+}
+
+/// `{count, p50, p95}` of one histogram.
+fn summary_json(s: HistogramSummary) -> Json {
+    Json::Obj(vec![
+        ("count".into(), num_u64(s.count)),
+        ("p50".into(), Json::Num(s.p50)),
+        ("p95".into(), Json::Num(s.p95)),
+    ])
 }
 
 /// `GET /debug/exemplars`: the retained exemplar index, or with `?id=N` one
@@ -990,34 +977,42 @@ fn handle_dashboard(query: &str, service: &Service) -> Reply {
     if let Some(spec) = query_param(query, "diff") {
         return handle_dashboard_diff(spec, service);
     }
-    let snap = service.metrics_snapshot();
+    let snap = service.registry_snapshot();
+    let count = |name: &str| snap.counter(name, None).unwrap_or(0);
+    let gauge = |name: &str| snap.gauge(name).unwrap_or(0);
     let (closed, open, half_open) = service.breaker_states();
+    let lookups = count("cache_hits_total") + count("cache_misses_total");
+    let hit_rate = count("cache_hits_total") as f64 / lookups.max(1) as f64;
+    let latency = snap.histogram("solve_latency_ms", None).unwrap_or_default();
 
-    let mut overview = vec![
+    let overview = vec![
         ("build", crate::service::BUILD_INFO.to_string()),
         ("solver fingerprint", service.fingerprint_digest()),
-        ("requests", snap.requests.to_string()),
-        ("in flight", snap.in_flight.to_string()),
+        ("requests", count("requests_total").to_string()),
+        ("in flight", gauge("in_flight").to_string()),
+        ("cache hit rate", format!("{:.1}%", hit_rate * 100.0)),
+        ("coalesced", count("coalesced_total").to_string()),
+        ("timeouts", count("timeouts_total").to_string()),
+        ("solve errors", count("solve_errors_total").to_string()),
+        ("solve retries", count("solve_retries_total").to_string()),
         (
-            "cache hit rate",
-            format!("{:.1}%", snap.cache_hit_rate() * 100.0),
+            "degraded results",
+            count("degraded_results_total").to_string(),
         ),
-        ("coalesced", snap.coalesced.to_string()),
-        ("timeouts", snap.timeouts.to_string()),
-        ("solve errors", snap.solve_errors.to_string()),
-        ("solve retries", snap.solve_retries.to_string()),
-        ("degraded results", snap.degraded_results.to_string()),
         (
             "breakers closed / open / half-open",
             format!("{closed} / {open} / {half_open}"),
         ),
-        ("shed", snap.shed.to_string()),
-        ("browned out", snap.browned_out.to_string()),
-        ("connection capped", snap.conn_capped.to_string()),
-        ("deadline closed", snap.deadline_closed.to_string()),
+        ("shed", count("shed_total").to_string()),
+        ("browned out", count("browned_out_total").to_string()),
+        ("connection capped", count("conn_capped_total").to_string()),
+        (
+            "deadline closed",
+            count("deadline_closed_total").to_string(),
+        ),
         (
             "brown-out active",
-            if snap.brownout_active != 0 {
+            if gauge("brownout_active") != 0 {
                 "yes".to_string()
             } else {
                 "no".to_string()
@@ -1025,24 +1020,22 @@ fn handle_dashboard(query: &str, service: &Service) -> Reply {
         ),
         (
             "solve latency p50 / p95 ms",
-            format!(
-                "{} / {}",
-                fmt_value(snap.solve_p50_ms),
-                fmt_value(snap.solve_p95_ms)
-            ),
+            format!("{} / {}", fmt_value(latency.p50), fmt_value(latency.p95)),
+        ),
+        (
+            "cache occupancy",
+            format!("{} / {}", gauge("cache.len"), gauge("cache.capacity")),
         ),
     ];
-    if let Some(cache) = snap.cache {
-        overview.push((
-            "cache occupancy",
-            format!("{} / {}", cache.len, cache.capacity),
-        ));
-    }
 
     let stage_bars: Vec<(String, f64)> = snap
-        .stages
+        .histograms
         .iter()
-        .map(|s| (format!("{} (n={})", s.stage, s.count), s.p95_ms))
+        .filter(|h| h.name == "span_duration_ms" || h.name == "queue_wait_ms")
+        .map(|h| {
+            let name = h.label.as_ref().map_or(h.name.as_str(), |(_, v)| v);
+            (format!("{name} (n={})", h.summary.count), h.summary.p95)
+        })
         .collect();
 
     let reports = service.recent_reports();
@@ -1096,8 +1089,7 @@ fn handle_dashboard(query: &str, service: &Service) -> Reply {
     }
     exemplar_html.push_str("</table>");
 
-    let registry = service.registry().snapshot();
-    let counter_rows: Vec<Vec<String>> = registry
+    let counter_rows: Vec<Vec<String>> = snap
         .counters
         .iter()
         .map(|c| {
@@ -1108,7 +1100,7 @@ fn handle_dashboard(query: &str, service: &Service) -> Reply {
             vec![name, c.value.to_string()]
         })
         .collect();
-    let histogram_rows: Vec<Vec<String>> = registry
+    let histogram_rows: Vec<Vec<String>> = snap
         .histograms
         .iter()
         .map(|h| {
@@ -1126,19 +1118,25 @@ fn handle_dashboard(query: &str, service: &Service) -> Reply {
         .collect();
 
     let queue_samples = service.metrics().queue_depth_recent();
+    let queue = snap.histogram("queue_depth_dist", None).unwrap_or_default();
     let overload_rows = [
-        ("shed (all protective 503s)", snap.shed.to_string()),
-        ("browned out (cold misses)", snap.browned_out.to_string()),
-        ("connection capped", snap.conn_capped.to_string()),
-        ("deadline closed (408)", snap.deadline_closed.to_string()),
-        ("queue depth now", snap.queue_depth.to_string()),
+        (
+            "shed (all protective 503s)",
+            count("shed_total").to_string(),
+        ),
+        (
+            "browned out (cold misses)",
+            count("browned_out_total").to_string(),
+        ),
+        ("connection capped", count("conn_capped_total").to_string()),
+        (
+            "deadline closed (408)",
+            count("deadline_closed_total").to_string(),
+        ),
+        ("queue depth now", gauge("queue_depth").to_string()),
         (
             "queue depth p50 / p95",
-            format!(
-                "{} / {}",
-                fmt_value(snap.queue_depth_p50),
-                fmt_value(snap.queue_depth_p95)
-            ),
+            format!("{} / {}", fmt_value(queue.p50), fmt_value(queue.p95)),
         ),
     ];
     let overload_html = format!(
@@ -1178,7 +1176,7 @@ fn handle_dashboard(query: &str, service: &Service) -> Reply {
     let sections = [
         dashboard::section("Service", &dashboard::kv_table(&overview)),
         dashboard::section("Overload", &overload_html),
-        dashboard::section("Stage latency p95 (ms)", &dashboard::bar_list(&stage_bars)),
+        dashboard::section("Span latency p95 (ms)", &dashboard::bar_list(&stage_bars)),
         dashboard::section("Contention", &contention_html),
         dashboard::section("Metrics time-series", &timeseries_html),
         dashboard::section("Recent solves", &solves_html),
@@ -1204,25 +1202,25 @@ fn handle_dashboard(query: &str, service: &Service) -> Reply {
 /// table of the most recent request breakdowns. Lock names are
 /// compile-time constants today, but they are escaped anyway so a future
 /// dynamically named lock cannot inject markup.
-fn dashboard_contention_html(snap: &crate::metrics::MetricsSnapshot, service: &Service) -> String {
-    let mut html = if snap.locks.is_empty() {
+fn dashboard_contention_html(snap: &RegistrySnapshot, service: &Service) -> String {
+    let lock_bars: Vec<(String, f64)> = observed_locks(snap)
+        .map(|lock| {
+            let count = |name: &str| snap.counter(name, Some(lock)).unwrap_or(0);
+            let wait = snap.histogram(contention::LOCK_WAIT_MS, Some(lock));
+            (
+                format!(
+                    "{} (acq={}, contended={})",
+                    escape_html(lock),
+                    count(contention::LOCK_ACQUISITIONS_TOTAL),
+                    count(contention::LOCK_CONTENDED_TOTAL)
+                ),
+                wait.unwrap_or_default().p95,
+            )
+        })
+        .collect();
+    let mut html = if lock_bars.is_empty() {
         "<p>no observed locks (disabled via <code>THISTLE_NO_LOCK_OBS</code>?)</p>".to_string()
     } else {
-        let lock_bars: Vec<(String, f64)> = snap
-            .locks
-            .iter()
-            .map(|l| {
-                (
-                    format!(
-                        "{} (acq={}, contended={})",
-                        escape_html(&l.lock),
-                        l.acquisitions,
-                        l.contended
-                    ),
-                    l.wait_p95_ms,
-                )
-            })
-            .collect();
         format!(
             "<p>per-lock wait p95 (ms):</p>{}",
             dashboard::bar_list(&lock_bars)

@@ -48,9 +48,6 @@ pub mod service;
 pub use http::{HttpOptions, HttpServer};
 pub use json::{Json, JsonError};
 pub use lru::{LruCache, LruStats};
-pub use metrics::{
-    CacheSnapshot, LatencyBreakdown, LockSnapshot, Metrics, MetricsSink, MetricsSnapshot,
-    PhaseSnapshot, Stage, StageSnapshot,
-};
+pub use metrics::{LatencyBreakdown, Metrics};
 pub use pool::{PoolError, PoolTimings, SolvePool};
 pub use service::{family_name, ServeError, Service, ServiceOptions, SolveResponse, BUILD_INFO};

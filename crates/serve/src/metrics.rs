@@ -1,21 +1,21 @@
-//! Service counters, solve-latency percentiles, and per-stage telemetry.
+//! Service counters, gauges and latency histograms.
 //!
 //! All metric state lives in a [`thistle_obs::Registry`]: counters and
 //! gauges are lock-free atomics, latencies go into windowed histograms
 //! (solves are milliseconds-to-seconds long, so the per-sample locks are
 //! uncontended noise next to them). [`Metrics`] holds typed handles into
-//! the registry and preserves the established `GET /metrics` JSON and
-//! Prometheus renderings exactly. Per-stage histograms are fed by
-//! [`MetricsSink`], a `thistle_obs` sink that routes closed spans to their
-//! [`Stage`] by span name, so the same trace that feeds a Chrome export
-//! also feeds `GET /metrics`.
+//! the registry; `GET /metrics` is the registry's own JSON or Prometheus
+//! rendering of a [`thistle_obs::RegistrySnapshot`]. Pipeline stages are
+//! timed by the service's [`thistle_obs::MetricsBridge`], which files each
+//! closed span under `span_duration_ms{span}`.
 
-use crate::json::{num_u64, Json};
-use std::collections::{BTreeMap, VecDeque};
+use crate::json::Json;
+use crate::lru::LruStats;
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use thistle::FailureLedger;
-use thistle_obs::{contention, Counter, Gauge, Histogram, HistogramFamily, Record, Registry, Sink};
+use thistle_obs::{Counter, Gauge, Histogram, HistogramFamily, Registry};
 
 /// Number of recent latencies kept per histogram window for percentile
 /// estimates.
@@ -25,86 +25,14 @@ pub(crate) const WINDOW: usize = 1024;
 /// sparkline (the windowed histogram keeps more, but loses ordering).
 const QUEUE_RING: usize = 240;
 
-/// Distinct stage labels allowed in the stage-latency family (well above
-/// [`Stage::ALL`]; the registry overflow slot catches programming errors).
-const STAGE_CARDINALITY: usize = 16;
+/// Distinct labels allowed in the phase and sweep-cause families (well
+/// above their six and ten members; the registry overflow slot catches
+/// programming errors).
+const FAMILY_CARDINALITY: usize = 16;
 
 /// Recent per-request latency breakdowns kept in arrival order for the
 /// dashboard's phase-stacked view of recent solves.
 const BREAKDOWN_RING: usize = 32;
-
-/// Pipeline stages with their own latency histograms in `GET /metrics`.
-///
-/// Each stage is fed by the span of the same (snake_case) name via
-/// [`MetricsSink`], except [`Stage::QueueWait`], which the solve pool
-/// records directly (queue wait is measured between threads, which a
-/// single span cannot express).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Stage {
-    /// Whole request, cache lookup through response adaptation.
-    Request,
-    /// Canonical-key LRU probe.
-    CacheLookup,
-    /// Job sat in the pool queue before a worker picked it up.
-    QueueWait,
-    /// Permutation-class enumeration.
-    PermEnum,
-    /// One geometric-program solve (per distinct GP content of a sweep).
-    GpSolve,
-    /// Lowering a GP into its compiled log-sum-exp evaluation form.
-    ExprCompile,
-    /// Signomial condensation refinement rounds.
-    Condense,
-    /// Integer candidate generation from a relaxed optimum.
-    Integerize,
-    /// Referee rescoring of integer candidates.
-    Rescore,
-}
-
-impl Stage {
-    pub const ALL: [Stage; 9] = [
-        Stage::Request,
-        Stage::CacheLookup,
-        Stage::QueueWait,
-        Stage::PermEnum,
-        Stage::GpSolve,
-        Stage::ExprCompile,
-        Stage::Condense,
-        Stage::Integerize,
-        Stage::Rescore,
-    ];
-
-    /// Stable snake_case name used in span names, JSON, and Prometheus.
-    pub fn name(self) -> &'static str {
-        match self {
-            Stage::Request => "request",
-            Stage::CacheLookup => "cache_lookup",
-            Stage::QueueWait => "queue_wait",
-            Stage::PermEnum => "perm_enum",
-            Stage::GpSolve => "gp_solve",
-            Stage::ExprCompile => "expr_compile",
-            Stage::Condense => "condensation",
-            Stage::Integerize => "integerize",
-            Stage::Rescore => "rescore",
-        }
-    }
-
-    /// Maps a closed span's name onto the stage it times, if any.
-    pub fn from_span_name(name: &str) -> Option<Stage> {
-        match name {
-            "request" => Some(Stage::Request),
-            "cache_lookup" => Some(Stage::CacheLookup),
-            "queue_wait" => Some(Stage::QueueWait),
-            "perm_enum" => Some(Stage::PermEnum),
-            "gp_solve" => Some(Stage::GpSolve),
-            "expr_compile" => Some(Stage::ExprCompile),
-            "condensation" => Some(Stage::Condense),
-            "integerize" => Some(Stage::Integerize),
-            "rescore" => Some(Stage::Rescore),
-            _ => None,
-        }
-    }
-}
 
 /// Shared service metrics. All methods take `&self`.
 ///
@@ -158,12 +86,19 @@ pub struct Metrics {
     /// Damaged snapshot records skipped at startup (plus one if the file
     /// itself failed to open for a reason other than not existing).
     atlas_load_errors: Gauge,
-    /// Sweep failure/recovery counters merged across completed solves.
-    /// Stays a plain struct merge: the ledger is a batch of related causes
-    /// folded under one lock, not independent counters.
-    ledger: Mutex<FailureLedger>,
+    /// LRU occupancy and lifetime counts, copied from the cache by
+    /// [`Metrics::record_cache_occupancy`] whenever a snapshot is taken.
+    cache_len: Gauge,
+    cache_capacity: Gauge,
+    cache_insertions: Counter,
+    cache_evictions: Counter,
+    /// `sweep_total{cause}`: sweep failure/recovery counts summed across
+    /// completed solves, one member per [`ledger_causes`] entry.
+    sweep: [Counter; 10],
     latencies: Histogram,
-    stages: HistogramFamily,
+    /// Time each pool job sat queued before a worker picked it up. The
+    /// wait crosses threads, so no span can time it.
+    queue_wait: Histogram,
     /// Per-phase request-breakdown histograms
     /// ([`LatencyBreakdown::PHASES`] labels).
     phases: HistogramFamily,
@@ -176,25 +111,6 @@ impl Default for Metrics {
     fn default() -> Self {
         Metrics::on_registry(Arc::new(Registry::new()))
     }
-}
-
-/// One stage's histogram in a snapshot.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StageSnapshot {
-    pub stage: &'static str,
-    pub count: u64,
-    pub p50_ms: f64,
-    pub p95_ms: f64,
-}
-
-/// Cache occupancy and lifetime counters, merged into a snapshot by
-/// [`crate::service::Service::metrics_snapshot`].
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct CacheSnapshot {
-    pub len: u64,
-    pub capacity: u64,
-    pub insertions: u64,
-    pub evictions: u64,
 }
 
 /// Where one request's wall-clock time went, phase by phase, in
@@ -259,439 +175,8 @@ impl LatencyBreakdown {
     }
 }
 
-/// One phase's histogram in a snapshot, in [`LatencyBreakdown::PHASES`]
-/// order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhaseSnapshot {
-    pub phase: &'static str,
-    pub count: u64,
-    pub p50_ms: f64,
-    pub p95_ms: f64,
-}
-
-/// One named lock's contention accounting in a snapshot, read back from
-/// the `thistle_obs::contention` metric families in the shared registry.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct LockSnapshot {
-    pub lock: String,
-    /// Total acquisitions (contended or not).
-    pub acquisitions: u64,
-    /// Acquisitions that found the lock already held.
-    pub contended: u64,
-    /// Wait-time samples recorded (equals acquisitions within the window).
-    pub wait_count: u64,
-    pub wait_p50_ms: f64,
-    pub wait_p95_ms: f64,
-    pub hold_p50_ms: f64,
-    pub hold_p95_ms: f64,
-}
-
-/// A point-in-time copy of every metric, for rendering.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricsSnapshot {
-    pub requests: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub coalesced: u64,
-    pub solve_errors: u64,
-    pub timeouts: u64,
-    pub in_flight: u64,
-    /// Pool workers restarted after a contained panic.
-    pub worker_respawns: u64,
-    /// Transparent retries of failed solves (not counted as requests).
-    pub solve_retries: u64,
-    /// Solves abandoned mid-run because every waiter left.
-    pub cancelled_solves: u64,
-    /// Times a per-shape circuit breaker tripped open (including re-opens).
-    pub breaker_opened: u64,
-    /// Requests fast-failed by an open breaker.
-    pub breaker_fastfails: u64,
-    /// Completed solves whose design point was marked degraded.
-    pub degraded_results: u64,
-    /// Cache misses answered by a warm-started near-miss solve instead of a
-    /// cold sweep.
-    pub near_miss_hits: u64,
-    /// Requests rejected with `503` to protect the service (queue-cap sheds
-    /// + brown-out sheds + breaker fast-fails).
-    pub shed: u64,
-    /// Subset of `shed`: cold misses rejected while in brown-out.
-    pub browned_out: u64,
-    /// Connections rejected at the accept side (cap and backlog both full).
-    pub conn_capped: u64,
-    /// Connections closed at a read-phase deadline (slowloris defense).
-    pub deadline_closed: u64,
-    /// Pool-queue depth at the most recent admission decision.
-    pub queue_depth: u64,
-    /// 1 while brown-out shedding is active, else 0.
-    pub brownout_active: u64,
-    /// Admission-time queue-depth samples recorded.
-    pub queue_depth_count: u64,
-    pub queue_depth_p50: f64,
-    pub queue_depth_p95: f64,
-    /// Cache entries restored from the atlas snapshot at startup.
-    pub atlas_restored_entries: u64,
-    /// Damaged atlas records skipped (or load failures) at startup.
-    pub atlas_load_errors: u64,
-    /// Per-cause sweep failure/recovery counters across completed solves.
-    pub sweep_ledger: FailureLedger,
-    pub solves_recorded: u64,
-    pub solve_p50_ms: f64,
-    pub solve_p95_ms: f64,
-    /// Largest timeout cap applied to a recorded solve, in ms (0 if none).
-    pub solve_timeout_ms: u64,
-    /// Per-stage histograms, in [`Stage::ALL`] order.
-    pub stages: Vec<StageSnapshot>,
-    /// Per-phase request-breakdown histograms, in
-    /// [`LatencyBreakdown::PHASES`] order.
-    pub phases: Vec<PhaseSnapshot>,
-    /// Per-named-lock contention accounting, sorted by lock name. Empty
-    /// when lock observation is disabled (`THISTLE_NO_LOCK_OBS`).
-    pub locks: Vec<LockSnapshot>,
-    /// Filled by `Service::metrics_snapshot`; `None` from a bare
-    /// [`Metrics::snapshot`], which cannot see the cache.
-    pub cache: Option<CacheSnapshot>,
-}
-
-impl MetricsSnapshot {
-    /// Fraction of requests answered from the cache.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let lookups = self.cache_hits + self.cache_misses;
-        if lookups == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / lookups as f64
-        }
-    }
-
-    pub fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("requests".into(), num_u64(self.requests)),
-            ("cache_hits".into(), num_u64(self.cache_hits)),
-            ("cache_misses".into(), num_u64(self.cache_misses)),
-            ("cache_hit_rate".into(), Json::Num(self.cache_hit_rate())),
-            ("coalesced".into(), num_u64(self.coalesced)),
-            ("solve_errors".into(), num_u64(self.solve_errors)),
-            ("timeouts".into(), num_u64(self.timeouts)),
-            ("in_flight".into(), num_u64(self.in_flight)),
-            ("solve_timeout_ms".into(), num_u64(self.solve_timeout_ms)),
-            ("worker_respawns".into(), num_u64(self.worker_respawns)),
-            ("solve_retries".into(), num_u64(self.solve_retries)),
-            ("cancelled_solves".into(), num_u64(self.cancelled_solves)),
-            ("breaker_opened".into(), num_u64(self.breaker_opened)),
-            ("breaker_fastfails".into(), num_u64(self.breaker_fastfails)),
-            ("degraded_results".into(), num_u64(self.degraded_results)),
-            ("near_miss_hits".into(), num_u64(self.near_miss_hits)),
-            ("shed".into(), num_u64(self.shed)),
-            ("browned_out".into(), num_u64(self.browned_out)),
-            ("conn_capped".into(), num_u64(self.conn_capped)),
-            ("deadline_closed".into(), num_u64(self.deadline_closed)),
-            ("queue_depth".into(), num_u64(self.queue_depth)),
-            ("brownout_active".into(), num_u64(self.brownout_active)),
-            (
-                "queue_depth_dist".into(),
-                Json::Obj(vec![
-                    ("count".into(), num_u64(self.queue_depth_count)),
-                    ("p50".into(), Json::Num(self.queue_depth_p50)),
-                    ("p95".into(), Json::Num(self.queue_depth_p95)),
-                ]),
-            ),
-            (
-                "atlas_restored_entries".into(),
-                num_u64(self.atlas_restored_entries),
-            ),
-            ("atlas_load_errors".into(), num_u64(self.atlas_load_errors)),
-            (
-                "sweep".into(),
-                Json::Obj(
-                    ledger_causes(&self.sweep_ledger)
-                        .into_iter()
-                        .map(|(cause, count)| (cause.to_string(), num_u64(count)))
-                        .collect(),
-                ),
-            ),
-            (
-                "solve_latency_ms".into(),
-                Json::Obj(vec![
-                    ("count".into(), num_u64(self.solves_recorded)),
-                    ("p50".into(), Json::Num(self.solve_p50_ms)),
-                    ("p95".into(), Json::Num(self.solve_p95_ms)),
-                ]),
-            ),
-            (
-                "stages".into(),
-                Json::Obj(
-                    self.stages
-                        .iter()
-                        .map(|s| {
-                            (
-                                s.stage.to_string(),
-                                Json::Obj(vec![
-                                    ("count".into(), num_u64(s.count)),
-                                    ("p50".into(), Json::Num(s.p50_ms)),
-                                    ("p95".into(), Json::Num(s.p95_ms)),
-                                ]),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "phases".into(),
-                Json::Obj(
-                    self.phases
-                        .iter()
-                        .map(|p| {
-                            (
-                                p.phase.to_string(),
-                                Json::Obj(vec![
-                                    ("count".into(), num_u64(p.count)),
-                                    ("p50".into(), Json::Num(p.p50_ms)),
-                                    ("p95".into(), Json::Num(p.p95_ms)),
-                                ]),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "locks".into(),
-                Json::Obj(
-                    self.locks
-                        .iter()
-                        .map(|l| {
-                            (
-                                l.lock.clone(),
-                                Json::Obj(vec![
-                                    ("acquisitions".into(), num_u64(l.acquisitions)),
-                                    ("contended".into(), num_u64(l.contended)),
-                                    (
-                                        "wait_ms".into(),
-                                        Json::Obj(vec![
-                                            ("count".into(), num_u64(l.wait_count)),
-                                            ("p50".into(), Json::Num(l.wait_p50_ms)),
-                                            ("p95".into(), Json::Num(l.wait_p95_ms)),
-                                        ]),
-                                    ),
-                                    (
-                                        "hold_ms".into(),
-                                        Json::Obj(vec![
-                                            ("p50".into(), Json::Num(l.hold_p50_ms)),
-                                            ("p95".into(), Json::Num(l.hold_p95_ms)),
-                                        ]),
-                                    ),
-                                ]),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-        ];
-        if let Some(cache) = &self.cache {
-            fields.push((
-                "cache".into(),
-                Json::Obj(vec![
-                    ("len".into(), num_u64(cache.len)),
-                    ("capacity".into(), num_u64(cache.capacity)),
-                    ("insertions".into(), num_u64(cache.insertions)),
-                    ("evictions".into(), num_u64(cache.evictions)),
-                ]),
-            ));
-        }
-        Json::Obj(fields)
-    }
-
-    /// Prometheus text exposition of the same snapshot `to_json` renders.
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::with_capacity(2048);
-        let mut counter = |name: &str, value: u64| {
-            out.push_str(&format!(
-                "# TYPE thistle_{name} counter\nthistle_{name} {value}\n"
-            ));
-        };
-        counter("requests_total", self.requests);
-        counter("cache_hits_total", self.cache_hits);
-        counter("cache_misses_total", self.cache_misses);
-        counter("coalesced_total", self.coalesced);
-        counter("solve_errors_total", self.solve_errors);
-        counter("timeouts_total", self.timeouts);
-        counter("solves_recorded_total", self.solves_recorded);
-        counter("worker_respawns_total", self.worker_respawns);
-        counter("solve_retries_total", self.solve_retries);
-        counter("cancelled_solves_total", self.cancelled_solves);
-        counter("breaker_opened_total", self.breaker_opened);
-        counter("breaker_fastfails_total", self.breaker_fastfails);
-        counter("degraded_results_total", self.degraded_results);
-        counter("near_miss_hits_total", self.near_miss_hits);
-        counter("shed_total", self.shed);
-        counter("browned_out_total", self.browned_out);
-        counter("conn_capped_total", self.conn_capped);
-        counter("deadline_closed_total", self.deadline_closed);
-        out.push_str("# TYPE thistle_sweep_events_total counter\n");
-        for (cause, count) in ledger_causes(&self.sweep_ledger) {
-            out.push_str(&format!(
-                "thistle_sweep_events_total{{cause=\"{cause}\"}} {count}\n"
-            ));
-        }
-        out.push_str(&format!(
-            "# TYPE thistle_cache_hit_rate gauge\nthistle_cache_hit_rate {}\n",
-            fmt_f64(self.cache_hit_rate())
-        ));
-        out.push_str(&format!(
-            "# TYPE thistle_in_flight gauge\nthistle_in_flight {}\n",
-            self.in_flight
-        ));
-        out.push_str(&format!(
-            "# TYPE thistle_solve_timeout_ms gauge\nthistle_solve_timeout_ms {}\n",
-            self.solve_timeout_ms
-        ));
-        out.push_str(&format!(
-            "# TYPE thistle_atlas_restored_entries gauge\nthistle_atlas_restored_entries {}\n",
-            self.atlas_restored_entries
-        ));
-        out.push_str(&format!(
-            "# TYPE thistle_atlas_load_errors gauge\nthistle_atlas_load_errors {}\n",
-            self.atlas_load_errors
-        ));
-        out.push_str(&format!(
-            "# TYPE thistle_queue_depth gauge\nthistle_queue_depth {}\n",
-            self.queue_depth
-        ));
-        out.push_str(&format!(
-            "# TYPE thistle_brownout_active gauge\nthistle_brownout_active {}\n",
-            self.brownout_active
-        ));
-        out.push_str("# TYPE thistle_queue_depth_dist summary\n");
-        out.push_str(&format!(
-            "thistle_queue_depth_dist{{quantile=\"0.5\"}} {}\n",
-            fmt_f64(self.queue_depth_p50)
-        ));
-        out.push_str(&format!(
-            "thistle_queue_depth_dist{{quantile=\"0.95\"}} {}\n",
-            fmt_f64(self.queue_depth_p95)
-        ));
-        out.push_str(&format!(
-            "thistle_queue_depth_dist_count {}\n",
-            self.queue_depth_count
-        ));
-        out.push_str("# TYPE thistle_solve_latency_ms summary\n");
-        out.push_str(&format!(
-            "thistle_solve_latency_ms{{quantile=\"0.5\"}} {}\n",
-            fmt_f64(self.solve_p50_ms)
-        ));
-        out.push_str(&format!(
-            "thistle_solve_latency_ms{{quantile=\"0.95\"}} {}\n",
-            fmt_f64(self.solve_p95_ms)
-        ));
-        out.push_str("# TYPE thistle_stage_latency_ms summary\n");
-        for s in &self.stages {
-            out.push_str(&format!(
-                "thistle_stage_latency_ms{{stage=\"{}\",quantile=\"0.5\"}} {}\n",
-                s.stage,
-                fmt_f64(s.p50_ms)
-            ));
-            out.push_str(&format!(
-                "thistle_stage_latency_ms{{stage=\"{}\",quantile=\"0.95\"}} {}\n",
-                s.stage,
-                fmt_f64(s.p95_ms)
-            ));
-        }
-        out.push_str("# TYPE thistle_stage_count_total counter\n");
-        for s in &self.stages {
-            out.push_str(&format!(
-                "thistle_stage_count_total{{stage=\"{}\"}} {}\n",
-                s.stage, s.count
-            ));
-        }
-        out.push_str("# TYPE thistle_phase_latency_ms summary\n");
-        for p in &self.phases {
-            out.push_str(&format!(
-                "thistle_phase_latency_ms{{phase=\"{}\",quantile=\"0.5\"}} {}\n",
-                p.phase,
-                fmt_f64(p.p50_ms)
-            ));
-            out.push_str(&format!(
-                "thistle_phase_latency_ms{{phase=\"{}\",quantile=\"0.95\"}} {}\n",
-                p.phase,
-                fmt_f64(p.p95_ms)
-            ));
-        }
-        out.push_str("# TYPE thistle_phase_count_total counter\n");
-        for p in &self.phases {
-            out.push_str(&format!(
-                "thistle_phase_count_total{{phase=\"{}\"}} {}\n",
-                p.phase, p.count
-            ));
-        }
-        if !self.locks.is_empty() {
-            out.push_str("# TYPE thistle_lock_acquisitions_total counter\n");
-            for l in &self.locks {
-                out.push_str(&format!(
-                    "thistle_lock_acquisitions_total{{lock=\"{}\"}} {}\n",
-                    l.lock, l.acquisitions
-                ));
-            }
-            out.push_str("# TYPE thistle_lock_contended_total counter\n");
-            for l in &self.locks {
-                out.push_str(&format!(
-                    "thistle_lock_contended_total{{lock=\"{}\"}} {}\n",
-                    l.lock, l.contended
-                ));
-            }
-            out.push_str("# TYPE thistle_lock_wait_ms summary\n");
-            for l in &self.locks {
-                out.push_str(&format!(
-                    "thistle_lock_wait_ms{{lock=\"{}\",quantile=\"0.5\"}} {}\n",
-                    l.lock,
-                    fmt_f64(l.wait_p50_ms)
-                ));
-                out.push_str(&format!(
-                    "thistle_lock_wait_ms{{lock=\"{}\",quantile=\"0.95\"}} {}\n",
-                    l.lock,
-                    fmt_f64(l.wait_p95_ms)
-                ));
-                out.push_str(&format!(
-                    "thistle_lock_wait_ms_count{{lock=\"{}\"}} {}\n",
-                    l.lock, l.wait_count
-                ));
-            }
-            out.push_str("# TYPE thistle_lock_hold_ms summary\n");
-            for l in &self.locks {
-                out.push_str(&format!(
-                    "thistle_lock_hold_ms{{lock=\"{}\",quantile=\"0.5\"}} {}\n",
-                    l.lock,
-                    fmt_f64(l.hold_p50_ms)
-                ));
-                out.push_str(&format!(
-                    "thistle_lock_hold_ms{{lock=\"{}\",quantile=\"0.95\"}} {}\n",
-                    l.lock,
-                    fmt_f64(l.hold_p95_ms)
-                ));
-            }
-        }
-        if let Some(cache) = &self.cache {
-            out.push_str(&format!(
-                "# TYPE thistle_cache_len gauge\nthistle_cache_len {}\n",
-                cache.len
-            ));
-            out.push_str(&format!(
-                "# TYPE thistle_cache_capacity gauge\nthistle_cache_capacity {}\n",
-                cache.capacity
-            ));
-            out.push_str(&format!(
-                "# TYPE thistle_cache_insertions_total counter\nthistle_cache_insertions_total {}\n",
-                cache.insertions
-            ));
-            out.push_str(&format!(
-                "# TYPE thistle_cache_evictions_total counter\nthistle_cache_evictions_total {}\n",
-                cache.evictions
-            ));
-        }
-        out
-    }
-}
-
-/// `(cause, count)` pairs of a [`FailureLedger`], in a stable order shared
-/// by the JSON and Prometheus renderings.
+/// `(cause, count)` pairs of a [`FailureLedger`], in the order of the
+/// `sweep_total{cause}` family members.
 fn ledger_causes(ledger: &FailureLedger) -> [(&'static str, u64); 10] {
     [
         ("generation", ledger.generation_failures),
@@ -707,36 +192,23 @@ fn ledger_causes(ledger: &FailureLedger) -> [(&'static str, u64); 10] {
     ]
 }
 
-/// Renders an f64 without scientific notation surprises for whole numbers.
-fn fmt_f64(x: f64) -> String {
-    if x == x.trunc() && x.abs() < 1e15 {
-        format!("{}", x as i64)
-    } else {
-        format!("{x}")
-    }
-}
-
 impl Metrics {
     pub fn new() -> Self {
         Metrics::default()
     }
 
     /// Builds the service metrics on an existing registry, registering each
-    /// metric under its Prometheus-style name. The stage histograms form one
-    /// `stage_latency_ms` family keyed by stage name.
+    /// metric under its Prometheus-style name. The phase histograms and the
+    /// sweep counters are families, pre-registered so that snapshots report
+    /// every member, including ones that have not fired yet.
     pub fn on_registry(registry: Arc<Registry>) -> Self {
-        let stages =
-            registry.histogram_family("stage_latency_ms", "stage", WINDOW, STAGE_CARDINALITY);
-        // Pre-register every stage so snapshots always report all of them,
-        // including stages that have not fired yet.
-        for stage in Stage::ALL {
-            stages.with_label(stage.name());
-        }
         let phases =
-            registry.histogram_family("phase_latency_ms", "phase", WINDOW, STAGE_CARDINALITY);
+            registry.histogram_family("phase_latency_ms", "phase", WINDOW, FAMILY_CARDINALITY);
         for phase in LatencyBreakdown::PHASES {
             phases.with_label(phase);
         }
+        let causes = registry.counter_family("sweep_total", "cause", FAMILY_CARDINALITY);
+        let sweep = ledger_causes(&FailureLedger::default()).map(|(c, _)| causes.with_label(c));
         Metrics {
             requests: registry.counter("requests_total"),
             cache_hits: registry.counter("cache_hits_total"),
@@ -763,9 +235,13 @@ impl Metrics {
             queue_ring: Mutex::new(VecDeque::new()),
             atlas_restored_entries: registry.gauge("atlas_restored_entries"),
             atlas_load_errors: registry.gauge("atlas_load_errors"),
-            ledger: Mutex::new(FailureLedger::default()),
+            cache_len: registry.gauge("cache.len"),
+            cache_capacity: registry.gauge("cache.capacity"),
+            cache_insertions: registry.counter("cache.insertions_total"),
+            cache_evictions: registry.counter("cache.evictions_total"),
+            sweep,
             latencies: registry.histogram("solve_latency_ms", WINDOW),
-            stages,
+            queue_wait: registry.histogram("queue_wait_ms", WINDOW),
             phases,
             breakdown_ring: Mutex::new(VecDeque::new()),
             registry,
@@ -896,7 +372,9 @@ impl Metrics {
     /// Folds one completed solve's sweep accounting into the service totals
     /// (and bumps the degraded-result counter if the point is marked so).
     pub fn record_solve_outcome(&self, ledger: &FailureLedger, degraded: bool) {
-        self.ledger.lock().expect("ledger lock").merge(ledger);
+        for (counter, (_, n)) in self.sweep.iter().zip(ledger_causes(ledger)) {
+            counter.add(n);
+        }
         if degraded {
             self.degraded_results.inc();
         }
@@ -906,8 +384,8 @@ impl Metrics {
     /// latency window *capped at the timeout* — a censored sample. Dropping
     /// it entirely (the old behavior) biased p50/p95 low exactly when the
     /// service was slowest; the cap is still an underestimate of the true
-    /// solve time, so [`MetricsSnapshot::solve_timeout_ms`] reports the cap
-    /// for reading the percentiles honestly.
+    /// solve time, so the `solve_timeout_ms` gauge reports the cap for
+    /// reading the percentiles honestly.
     pub fn record_timeout(&self, cap: Duration) {
         self.timeouts.inc();
         let cap_ms = cap.as_secs_f64() * 1e3;
@@ -919,10 +397,18 @@ impl Metrics {
         self.latencies.record(elapsed.as_secs_f64() * 1e3);
     }
 
-    /// Adds one sample to a stage histogram.
-    pub fn record_stage(&self, stage: Stage, elapsed: Duration) {
-        self.stages
-            .record(stage.name(), elapsed.as_secs_f64() * 1e3);
+    /// Records how long one pool job waited in the queue.
+    pub fn record_queue_wait(&self, wait: Duration) {
+        self.queue_wait.record(wait.as_secs_f64() * 1e3);
+    }
+
+    /// Copies the LRU cache's occupancy and lifetime counts into the
+    /// `cache.*` gauges and counters.
+    pub fn record_cache_occupancy(&self, len: usize, capacity: usize, stats: LruStats) {
+        self.cache_len.set(len as u64);
+        self.cache_capacity.set(capacity as u64);
+        self.cache_insertions.raise_to(stats.insertions);
+        self.cache_evictions.raise_to(stats.evictions);
     }
 
     /// Folds one completed request's latency breakdown into the per-phase
@@ -948,151 +434,6 @@ impl Metrics {
             .copied()
             .collect()
     }
-
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let lat = self.latencies.summary();
-        let queue = self.queue_depths.summary();
-        let stages = Stage::ALL
-            .iter()
-            .map(|&stage| {
-                let s = self.stages.with_label(stage.name()).summary();
-                StageSnapshot {
-                    stage: stage.name(),
-                    count: s.count,
-                    p50_ms: s.p50,
-                    p95_ms: s.p95,
-                }
-            })
-            .collect();
-        let phases = LatencyBreakdown::PHASES
-            .iter()
-            .map(|&phase| {
-                let s = self.phases.with_label(phase).summary();
-                PhaseSnapshot {
-                    phase,
-                    count: s.count,
-                    p50_ms: s.p50,
-                    p95_ms: s.p95,
-                }
-            })
-            .collect();
-        let locks = lock_snapshots(&self.registry);
-        MetricsSnapshot {
-            requests: self.requests.get(),
-            cache_hits: self.cache_hits.get(),
-            cache_misses: self.cache_misses.get(),
-            coalesced: self.coalesced.get(),
-            solve_errors: self.solve_errors.get(),
-            timeouts: self.timeouts.get(),
-            in_flight: self.in_flight.get(),
-            worker_respawns: self.worker_respawns.get(),
-            solve_retries: self.solve_retries.get(),
-            cancelled_solves: self.cancelled_solves.get(),
-            breaker_opened: self.breaker_opened.get(),
-            breaker_fastfails: self.breaker_fastfails.get(),
-            degraded_results: self.degraded_results.get(),
-            near_miss_hits: self.near_miss_hits.get(),
-            shed: self.shed.get(),
-            browned_out: self.browned_out.get(),
-            conn_capped: self.conn_capped.get(),
-            deadline_closed: self.deadline_closed.get(),
-            queue_depth: self.queue_depth.get(),
-            brownout_active: self.brownout_active.get(),
-            queue_depth_count: queue.count,
-            queue_depth_p50: queue.p50,
-            queue_depth_p95: queue.p95,
-            atlas_restored_entries: self.atlas_restored_entries.get(),
-            atlas_load_errors: self.atlas_load_errors.get(),
-            sweep_ledger: *self.ledger.lock().expect("ledger lock"),
-            solves_recorded: lat.count,
-            solve_p50_ms: lat.p50,
-            solve_p95_ms: lat.p95,
-            solve_timeout_ms: self.solve_timeout_ms.get(),
-            stages,
-            phases,
-            locks,
-            cache: None,
-        }
-    }
-}
-
-/// Reads the per-lock contention families (`lock_wait_ms`, `lock_hold_ms`,
-/// and their counters, registered by `thistle_obs::contention` wrappers)
-/// back out of the shared registry, merged per lock name and sorted for a
-/// stable rendering order.
-fn lock_snapshots(registry: &Registry) -> Vec<LockSnapshot> {
-    let raw = registry.snapshot();
-    let mut by_lock: BTreeMap<String, LockSnapshot> = BTreeMap::new();
-    let entry = |map: &mut BTreeMap<String, LockSnapshot>, lock: &str| -> LockSnapshot {
-        map.remove(lock).unwrap_or_else(|| LockSnapshot {
-            lock: lock.to_string(),
-            ..LockSnapshot::default()
-        })
-    };
-    for h in &raw.histograms {
-        let Some((key, lock)) = &h.label else {
-            continue;
-        };
-        if key.as_str() != contention::LOCK_LABEL {
-            continue;
-        }
-        if h.name == contention::LOCK_WAIT_MS {
-            let mut l = entry(&mut by_lock, lock);
-            l.wait_count = h.summary.count;
-            l.wait_p50_ms = h.summary.p50;
-            l.wait_p95_ms = h.summary.p95;
-            by_lock.insert(lock.clone(), l);
-        } else if h.name == contention::LOCK_HOLD_MS {
-            let mut l = entry(&mut by_lock, lock);
-            l.hold_p50_ms = h.summary.p50;
-            l.hold_p95_ms = h.summary.p95;
-            by_lock.insert(lock.clone(), l);
-        }
-    }
-    for c in &raw.counters {
-        let Some((key, lock)) = &c.label else {
-            continue;
-        };
-        if key.as_str() != contention::LOCK_LABEL {
-            continue;
-        }
-        if c.name == contention::LOCK_ACQUISITIONS_TOTAL {
-            let mut l = entry(&mut by_lock, lock);
-            l.acquisitions = c.value;
-            by_lock.insert(lock.clone(), l);
-        } else if c.name == contention::LOCK_CONTENDED_TOTAL {
-            let mut l = entry(&mut by_lock, lock);
-            l.contended = c.value;
-            by_lock.insert(lock.clone(), l);
-        }
-    }
-    by_lock.into_values().collect()
-}
-
-/// A `thistle_obs` sink that folds closed spans into per-stage histograms.
-///
-/// Span names map onto stages via [`Stage::from_span_name`]; spans with no
-/// stage (e.g. `barrier_solve`, `optimize_workload`) and instant events are
-/// ignored here — they still reach any other sink in the fanout.
-pub struct MetricsSink {
-    metrics: Arc<Metrics>,
-}
-
-impl MetricsSink {
-    pub fn new(metrics: Arc<Metrics>) -> Self {
-        MetricsSink { metrics }
-    }
-}
-
-impl Sink for MetricsSink {
-    fn record(&self, record: Record) {
-        if let Some(span) = record.as_span() {
-            if let Some(stage) = Stage::from_span_name(span.name) {
-                self.metrics
-                    .record_stage(stage, Duration::from_nanos(span.dur_ns));
-            }
-        }
-    }
 }
 
 /// RAII guard for the in-flight gauge.
@@ -1109,7 +450,17 @@ impl Drop for InFlightGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use thistle_obs::TraceCtx;
+    use thistle_obs::{HistogramSummary, MetricsBridge, ObservedMutex, RegistrySnapshot, TraceCtx};
+
+    fn snap(m: &Metrics) -> RegistrySnapshot {
+        m.registry().snapshot()
+    }
+
+    fn solve_latency(m: &Metrics) -> HistogramSummary {
+        snap(m)
+            .histogram("solve_latency_ms", None)
+            .expect("solve latency registered")
+    }
 
     #[test]
     fn counters_and_gauge_track() {
@@ -1117,17 +468,17 @@ mod tests {
         {
             let _g = m.request_started();
             m.record_cache_miss();
-            assert_eq!(m.snapshot().in_flight, 1);
+            assert_eq!(snap(&m).gauge("in_flight"), Some(1));
         }
         {
             let _g = m.request_started();
             m.record_cache_hit();
         }
-        let s = m.snapshot();
-        assert_eq!(s.requests, 2);
-        assert_eq!(s.in_flight, 0);
-        assert_eq!((s.cache_hits, s.cache_misses), (1, 1));
-        assert!((s.cache_hit_rate() - 0.5).abs() < 1e-12);
+        let s = snap(&m);
+        assert_eq!(s.counter("requests_total", None), Some(2));
+        assert_eq!(s.gauge("in_flight"), Some(0));
+        assert_eq!(s.counter("cache_hits_total", None), Some(1));
+        assert_eq!(s.counter("cache_misses_total", None), Some(1));
     }
 
     #[test]
@@ -1136,18 +487,10 @@ mod tests {
         for i in 1..=100u64 {
             m.record_solve_latency(Duration::from_millis(i));
         }
-        let s = m.snapshot();
-        assert_eq!(s.solves_recorded, 100);
-        assert!(
-            (s.solve_p50_ms - 50.0).abs() <= 1.0,
-            "p50 {}",
-            s.solve_p50_ms
-        );
-        assert!(
-            (s.solve_p95_ms - 95.0).abs() <= 1.0,
-            "p95 {}",
-            s.solve_p95_ms
-        );
+        let s = solve_latency(&m);
+        assert_eq!(s.count, 100);
+        assert!((s.p50 - 50.0).abs() <= 1.0, "p50 {}", s.p50);
+        assert!((s.p95 - 95.0).abs() <= 1.0, "p95 {}", s.p95);
     }
 
     #[test]
@@ -1156,8 +499,7 @@ mod tests {
         for i in 0..3000u64 {
             m.record_solve_latency(Duration::from_micros(i));
         }
-        let s = m.snapshot();
-        assert_eq!(s.solves_recorded, 3000);
+        assert_eq!(solve_latency(&m).count, 3000);
         assert_eq!(m.latencies.buffered(), WINDOW);
     }
 
@@ -1173,18 +515,10 @@ mod tests {
         for _ in 0..WINDOW {
             m.record_solve_latency(Duration::from_millis(1));
         }
-        let s = m.snapshot();
-        assert_eq!(s.solves_recorded, 2 * WINDOW as u64);
-        assert!(
-            (s.solve_p50_ms - 1.0).abs() < 1e-9,
-            "p50 {}",
-            s.solve_p50_ms
-        );
-        assert!(
-            (s.solve_p95_ms - 1.0).abs() < 1e-9,
-            "p95 {}",
-            s.solve_p95_ms
-        );
+        let s = solve_latency(&m);
+        assert_eq!(s.count, 2 * WINDOW as u64);
+        assert!((s.p50 - 1.0).abs() < 1e-9, "p50 {}", s.p50);
+        assert!((s.p95 - 1.0).abs() < 1e-9, "p95 {}", s.p95);
 
         // Partial wrap: 600 new fast samples leave a ~60/40 mix, so p50 is
         // fast and p95 still slow.
@@ -1195,13 +529,9 @@ mod tests {
         for _ in 0..600 {
             m.record_solve_latency(Duration::from_millis(1));
         }
-        let s = m.snapshot();
-        assert!(s.solve_p50_ms <= 1.0 + 1e-9, "p50 {}", s.solve_p50_ms);
-        assert!(
-            (s.solve_p95_ms - 1000.0).abs() < 1e-9,
-            "p95 {}",
-            s.solve_p95_ms
-        );
+        let s = solve_latency(&m);
+        assert!(s.p50 <= 1.0 + 1e-9, "p50 {}", s.p50);
+        assert!((s.p95 - 1000.0).abs() < 1e-9, "p95 {}", s.p95);
     }
 
     #[test]
@@ -1211,9 +541,9 @@ mod tests {
         for i in 1..=1000u64 {
             m.record_solve_latency(Duration::from_millis(i));
         }
-        let s = m.snapshot();
-        assert!((s.solve_p50_ms - 500.0).abs() <= 1.0, "{}", s.solve_p50_ms);
-        assert!((s.solve_p95_ms - 950.0).abs() <= 1.0, "{}", s.solve_p95_ms);
+        let s = solve_latency(&m);
+        assert!((s.p50 - 500.0).abs() <= 1.0, "{}", s.p50);
+        assert!((s.p95 - 950.0).abs() <= 1.0, "{}", s.p95);
 
         // Bimodal: 90 fast (10 ms) + 10 slow (2000 ms) — p50 fast, p95 slow.
         let m = Metrics::new();
@@ -1223,18 +553,18 @@ mod tests {
         for _ in 0..10 {
             m.record_solve_latency(Duration::from_millis(2000));
         }
-        let s = m.snapshot();
-        assert!((s.solve_p50_ms - 10.0).abs() < 1e-9);
-        assert!((s.solve_p95_ms - 2000.0).abs() < 1e-9);
+        let s = solve_latency(&m);
+        assert!((s.p50 - 10.0).abs() < 1e-9);
+        assert!((s.p95 - 2000.0).abs() < 1e-9);
 
         // Constant distribution: all percentiles equal the constant.
         let m = Metrics::new();
         for _ in 0..37 {
             m.record_solve_latency(Duration::from_millis(42));
         }
-        let s = m.snapshot();
-        assert!((s.solve_p50_ms - 42.0).abs() < 1e-9);
-        assert!((s.solve_p95_ms - 42.0).abs() < 1e-9);
+        let s = solve_latency(&m);
+        assert!((s.p50 - 42.0).abs() < 1e-9);
+        assert!((s.p95 - 42.0).abs() < 1e-9);
     }
 
     #[test]
@@ -1246,113 +576,68 @@ mod tests {
             m.record_solve_latency(Duration::from_millis(10));
         }
         m.record_timeout(Duration::from_secs(5));
-        let s = m.snapshot();
-        assert_eq!(s.timeouts, 1);
-        assert_eq!(s.solves_recorded, 10);
-        assert_eq!(s.solve_timeout_ms, 5000);
-        assert!((s.solve_p95_ms - 5000.0).abs() < 1e-9, "{}", s.solve_p95_ms);
+        let s = snap(&m);
+        assert_eq!(s.counter("timeouts_total", None), Some(1));
+        assert_eq!(s.gauge("solve_timeout_ms"), Some(5000));
+        let lat = solve_latency(&m);
+        assert_eq!(lat.count, 10);
+        assert!((lat.p95 - 5000.0).abs() < 1e-9, "{}", lat.p95);
         // The cap tracks the largest deadline seen.
         m.record_timeout(Duration::from_secs(2));
-        assert_eq!(m.snapshot().solve_timeout_ms, 5000);
+        assert_eq!(snap(&m).gauge("solve_timeout_ms"), Some(5000));
     }
 
     #[test]
-    fn stage_histograms_fill_from_spans() {
-        let metrics = Arc::new(Metrics::new());
-        let ctx = TraceCtx::new(Arc::new(MetricsSink::new(Arc::clone(&metrics))));
-        {
-            let _request = ctx.span("request");
-            let _lookup = ctx.span("cache_lookup");
-        }
-        {
-            // Unmapped spans must not disturb any stage.
-            let _other = ctx.span("barrier_solve");
-        }
-        let s = metrics.snapshot();
-        let stage = |name: &str| s.stages.iter().find(|x| x.stage == name).unwrap();
-        assert_eq!(stage("request").count, 1);
-        assert_eq!(stage("cache_lookup").count, 1);
-        assert_eq!(stage("gp_solve").count, 0);
-        let total: u64 = s.stages.iter().map(|x| x.count).sum();
-        assert_eq!(total, 2);
-    }
-
-    #[test]
-    fn metrics_share_state_with_the_backing_registry() {
-        let registry = Arc::new(Registry::new());
-        let m = Metrics::on_registry(Arc::clone(&registry));
-        {
-            let _g = m.request_started();
-            m.record_cache_miss();
-            m.record_solve_latency(Duration::from_millis(25));
-        }
-        m.record_stage(Stage::GpSolve, Duration::from_millis(7));
-
-        // The raw registry snapshot reports the very same samples the
-        // service snapshot renders: one source of truth, two views.
-        let raw = registry.snapshot();
-        let counter = |name: &str| {
-            raw.counters
-                .iter()
-                .find(|c| c.name == name && c.label.is_none())
-                .map(|c| c.value)
-        };
-        assert_eq!(counter("requests_total"), Some(1));
-        assert_eq!(counter("cache_misses_total"), Some(1));
-        let lat = raw
-            .histograms
-            .iter()
-            .find(|h| h.name == "solve_latency_ms")
-            .expect("latency histogram registered");
-        assert_eq!(lat.summary.count, 1);
-        let stage = raw
-            .histograms
-            .iter()
-            .find(|h| {
-                h.name == "stage_latency_ms"
-                    && h.label.as_ref().is_some_and(|(_, l)| l == "gp_solve")
-            })
-            .expect("stage family sample");
-        assert_eq!(stage.summary.count, 1);
-        // Every stage is pre-registered, even ones that never fired.
-        let stage_samples = raw
-            .histograms
-            .iter()
-            .filter(|h| h.name == "stage_latency_ms")
-            .count();
-        assert_eq!(stage_samples, Stage::ALL.len());
-
-        // And the service snapshot reads back the same values.
-        let s = m.snapshot();
-        assert_eq!(s.requests, 1);
-        assert_eq!(s.solves_recorded, 1);
-    }
-
-    #[test]
-    fn snapshot_renders_as_json() {
+    fn sweep_causes_and_cache_occupancy_live_in_the_registry() {
         let m = Metrics::new();
-        m.record_cache_hit();
-        m.record_stage(Stage::GpSolve, Duration::from_millis(7));
-        let json = m.snapshot().to_json();
-        assert_eq!(json.get("cache_hits").unwrap().as_u64(), Some(1));
-        assert!(json.get("solve_latency_ms").unwrap().get("p50").is_some());
-        assert_eq!(
-            json.get("stages")
-                .unwrap()
-                .get("gp_solve")
-                .unwrap()
-                .get("count")
-                .unwrap()
-                .as_u64(),
-            Some(1)
+        // Every cause is reported before any solve completes.
+        let s = snap(&m);
+        for (cause, _) in ledger_causes(&FailureLedger::default()) {
+            assert_eq!(s.counter("sweep_total", Some(cause)), Some(0), "{cause}");
+        }
+        let ledger = FailureLedger {
+            infeasible: 3,
+            recovered: 1,
+            ..FailureLedger::default()
+        };
+        m.record_solve_outcome(&ledger, true);
+        m.record_solve_outcome(&ledger, false);
+        m.record_cache_occupancy(
+            3,
+            16,
+            LruStats {
+                insertions: 4,
+                evictions: 1,
+                ..LruStats::default()
+            },
         );
-        // And the emitted text parses back.
-        assert!(Json::parse(&json.emit()).is_ok());
+        m.record_queue_wait(Duration::from_millis(7));
+        let s = snap(&m);
+        assert_eq!(s.counter("sweep_total", Some("infeasible")), Some(6));
+        assert_eq!(s.counter("sweep_total", Some("recovered")), Some(2));
+        assert_eq!(s.counter("degraded_results_total", None), Some(1));
+        assert_eq!(s.gauge("cache.len"), Some(3));
+        assert_eq!(s.gauge("cache.capacity"), Some(16));
+        assert_eq!(s.counter("cache.insertions_total", None), Some(4));
+        assert_eq!(s.counter("cache.evictions_total", None), Some(1));
+        assert_eq!(s.histogram("queue_wait_ms", None).map(|h| h.count), Some(1));
+
+        let json = Json::parse(&s.to_json()).expect("registry JSON parses");
+        let at = |path: &[&str]| {
+            path.iter()
+                .try_fold(&json, |v, key| v.get(key))
+                .and_then(Json::as_f64)
+        };
+        assert_eq!(at(&["sweep", "infeasible"]), Some(6.0));
+        assert_eq!(at(&["cache", "evictions"]), Some(1.0));
+        assert_eq!(at(&["queue_wait_ms", "p50"]), Some(7.0));
+        assert_eq!(at(&["degraded_results"]), Some(1.0));
     }
 
     #[test]
     fn prometheus_and_json_render_the_same_snapshot() {
-        let m = Metrics::new();
+        let registry = Arc::new(Registry::new());
+        let m = Metrics::on_registry(Arc::clone(&registry));
         {
             let _g = m.request_started();
             m.record_cache_miss();
@@ -1363,7 +648,6 @@ mod tests {
             m.record_cache_hit();
         }
         m.record_timeout(Duration::from_millis(500));
-        m.record_stage(Stage::GpSolve, Duration::from_millis(12));
         m.record_near_miss_hit();
         m.record_atlas_restore(5, 2);
         m.record_shed();
@@ -1372,123 +656,113 @@ mod tests {
         m.record_deadline_closed();
         m.record_queue_depth(3);
         m.record_queue_depth(7);
+        m.record_queue_wait(Duration::from_micros(1500));
         m.set_brownout(true);
-        let mut snap = m.snapshot();
-        snap.cache = Some(CacheSnapshot {
-            len: 3,
-            capacity: 16,
-            insertions: 4,
-            evictions: 1,
+        m.record_breakdown(&LatencyBreakdown {
+            solve_ms: 12.5,
+            ..LatencyBreakdown::default()
         });
-
-        let json = snap.to_json();
-        let text = snap.to_prometheus();
-        // Every scalar the JSON reports appears with the same value in the
-        // Prometheus text, so the two endpoints can never disagree.
-        let prom_value = |name: &str| -> f64 {
-            text.lines()
-                .find(|l| l.starts_with(name) && l.split_whitespace().next() == Some(name))
-                .unwrap_or_else(|| panic!("missing {name} in:\n{text}"))
-                .split_whitespace()
-                .nth(1)
-                .unwrap()
-                .parse()
-                .unwrap()
-        };
-        let json_u64 = |name: &str| json.get(name).unwrap().as_u64().unwrap() as f64;
-        assert_eq!(prom_value("thistle_requests_total"), json_u64("requests"));
-        assert_eq!(
-            prom_value("thistle_cache_hits_total"),
-            json_u64("cache_hits")
+        m.record_cache_occupancy(3, 16, LruStats::default());
+        m.record_solve_outcome(
+            &FailureLedger {
+                stalled_solves: 2,
+                ..FailureLedger::default()
+            },
+            false,
         );
-        assert_eq!(
-            prom_value("thistle_cache_misses_total"),
-            json_u64("cache_misses")
-        );
-        assert_eq!(prom_value("thistle_timeouts_total"), json_u64("timeouts"));
-        assert_eq!(
-            prom_value("thistle_solve_timeout_ms"),
-            json_u64("solve_timeout_ms")
-        );
-        assert_eq!(prom_value("thistle_in_flight"), json_u64("in_flight"));
-        assert_eq!(
-            prom_value("thistle_near_miss_hits_total"),
-            json_u64("near_miss_hits")
-        );
-        assert_eq!(prom_value("thistle_shed_total"), json_u64("shed"));
-        assert_eq!(
-            prom_value("thistle_browned_out_total"),
-            json_u64("browned_out")
-        );
-        assert_eq!(
-            prom_value("thistle_conn_capped_total"),
-            json_u64("conn_capped")
-        );
-        assert_eq!(
-            prom_value("thistle_deadline_closed_total"),
-            json_u64("deadline_closed")
-        );
-        assert_eq!(prom_value("thistle_queue_depth"), json_u64("queue_depth"));
-        assert_eq!(
-            prom_value("thistle_brownout_active"),
-            json_u64("brownout_active")
-        );
-        assert_eq!(prom_value("thistle_shed_total"), 2.0);
-        assert_eq!(prom_value("thistle_browned_out_total"), 1.0);
-        assert_eq!(prom_value("thistle_brownout_active"), 1.0);
-        assert_eq!(prom_value("thistle_queue_depth"), 7.0);
-        assert_eq!(
-            prom_value("thistle_queue_depth_dist_count"),
-            json.get("queue_depth_dist")
-                .unwrap()
-                .get("count")
-                .unwrap()
-                .as_u64()
-                .unwrap() as f64
-        );
-        assert_eq!(
-            prom_value("thistle_queue_depth_dist{quantile=\"0.95\"}"),
-            json.get("queue_depth_dist")
-                .unwrap()
-                .get("p95")
-                .unwrap()
-                .as_f64()
-                .unwrap()
-        );
+        // The families the service's other writers register: per-lock
+        // contention and the span bridge.
+        let lock = ObservedMutex::observed("solve_cache", 0u32, &registry);
+        *lock.lock() += 1;
+        let ctx = TraceCtx::new(Arc::new(MetricsBridge::new(&registry, WINDOW, 8)));
+        drop(ctx.span("gp_solve"));
         assert_eq!(m.queue_depth_recent(), vec![3.0, 7.0]);
+
+        let snap = registry.snapshot();
+        let json = Json::parse(&snap.to_json()).expect("registry JSON parses");
+        let text = snap.to_prometheus("thistle_");
+        let prom = |series: &str| -> f64 {
+            text.lines()
+                .find_map(|l| {
+                    let (name, value) = l.rsplit_once(' ')?;
+                    (name == series).then(|| value.parse().expect("numeric sample"))
+                })
+                .unwrap_or_else(|| panic!("missing {series} in:\n{text}"))
+        };
+        let at = |path: &[String]| -> f64 {
+            path.iter()
+                .try_fold(&json, |v, key| v.get(key))
+                .and_then(Json::as_f64)
+                .unwrap_or_else(|| panic!("JSON path {path:?} missing"))
+        };
+        // The spec both renderers implement: `_total` dropped and `.` nested
+        // in JSON, `.` written as `_` in Prometheus, labels as one more
+        // JSON level and as `{key="value"}`.
+        let json_path = |name: &str, counter: bool, label: &Option<(String, String)>| {
+            let name = if counter {
+                name.strip_suffix("_total").unwrap_or(name)
+            } else {
+                name
+            };
+            let mut path: Vec<String> = name.split('.').map(String::from).collect();
+            path.extend(label.iter().map(|(_, v)| v.clone()));
+            path
+        };
+        let series = |name: &str, suffix: &str, labels: &[String]| {
+            let name = format!("thistle_{}{suffix}", name.replace('.', "_"));
+            if labels.is_empty() {
+                name
+            } else {
+                format!("{name}{{{}}}", labels.join(","))
+            }
+        };
+        let label_pair = |label: &Option<(String, String)>| -> Vec<String> {
+            label.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect()
+        };
+        let mut samples = 0;
+        for c in &snap.counters {
+            let value = prom(&series(&c.name, "", &label_pair(&c.label)));
+            assert_eq!(at(&json_path(&c.name, true, &c.label)), value, "{}", c.name);
+            assert_eq!(value, c.value as f64);
+            samples += 1;
+        }
+        for g in &snap.gauges {
+            let value = prom(&series(&g.name, "", &[]));
+            assert_eq!(at(&json_path(&g.name, false, &None)), value, "{}", g.name);
+            assert_eq!(value, g.value as f64);
+            samples += 1;
+        }
+        for h in &snap.histograms {
+            let base = json_path(&h.name, false, &h.label);
+            let labels = label_pair(&h.label);
+            let count = prom(&series(&h.name, "_count", &labels));
+            assert_eq!(at(&[base.clone(), vec!["count".into()]].concat()), count);
+            assert_eq!(count, h.summary.count as f64);
+            for (key, q) in [("p50", "0.5"), ("p95", "0.95")] {
+                let mut with_q = labels.clone();
+                with_q.push(format!("quantile=\"{q}\""));
+                let value = prom(&series(&h.name, "", &with_q));
+                assert_eq!(at(&[base.clone(), vec![key.into()]].concat()), value);
+            }
+            samples += 1;
+        }
+        // Spot checks that the loop above saw the interesting samples.
+        assert!(samples > 40, "only {samples} samples");
+        assert_eq!(prom("thistle_shed_total"), 2.0);
+        assert_eq!(prom("thistle_cache_len"), 3.0);
+        assert_eq!(prom("thistle_sweep_total{cause=\"stalled\"}"), 2.0);
         assert_eq!(
-            prom_value("thistle_atlas_restored_entries"),
-            json_u64("atlas_restored_entries")
+            prom("thistle_lock_acquisitions_total{lock=\"solve_cache\"}"),
+            1.0
         );
         assert_eq!(
-            prom_value("thistle_atlas_load_errors"),
-            json_u64("atlas_load_errors")
-        );
-        assert_eq!(prom_value("thistle_atlas_restored_entries"), 5.0);
-        assert_eq!(prom_value("thistle_atlas_load_errors"), 2.0);
-        assert_eq!(prom_value("thistle_cache_len"), 3.0);
-        assert_eq!(prom_value("thistle_cache_capacity"), 16.0);
-        assert_eq!(prom_value("thistle_cache_insertions_total"), 4.0);
-        assert_eq!(prom_value("thistle_cache_evictions_total"), 1.0);
-        assert_eq!(
-            prom_value("thistle_solve_latency_ms{quantile=\"0.95\"}"),
-            json.get("solve_latency_ms")
-                .unwrap()
-                .get("p95")
-                .unwrap()
-                .as_f64()
-                .unwrap()
+            prom("thistle_span_duration_ms_count{span=\"gp_solve\"}"),
+            1.0
         );
         assert_eq!(
-            prom_value("thistle_stage_count_total{stage=\"gp_solve\"}"),
-            json.get("stages")
-                .unwrap()
-                .get("gp_solve")
-                .unwrap()
-                .get("count")
-                .unwrap()
-                .as_u64()
-                .unwrap() as f64
+            prom("thistle_phase_latency_ms{phase=\"solve\",quantile=\"0.5\"}"),
+            12.5
         );
+        assert_eq!(prom("thistle_queue_wait_ms{quantile=\"0.5\"}"), 1.5);
     }
 }

@@ -96,9 +96,9 @@ fn restarted_service_answers_from_the_snapshot_bit_identically() {
             ..quick_options()
         },
     );
-    let snap = restarted.metrics_snapshot();
-    assert_eq!(snap.atlas_restored_entries, 1);
-    assert_eq!(snap.atlas_load_errors, 0);
+    let snap = restarted.registry_snapshot();
+    assert_eq!(snap.gauge("atlas_restored_entries"), Some(1));
+    assert_eq!(snap.gauge("atlas_load_errors"), Some(0));
     assert_eq!(restarted.cache_len(), 1);
 
     // The previously solved request is answered from the restored cache —
@@ -123,9 +123,9 @@ fn corrupt_snapshot_counts_load_errors_and_still_starts() {
             ..quick_options()
         },
     );
-    let snap = service.metrics_snapshot();
-    assert_eq!(snap.atlas_restored_entries, 0);
-    assert!(snap.atlas_load_errors >= 1);
+    let snap = service.registry_snapshot();
+    assert_eq!(snap.gauge("atlas_restored_entries"), Some(0));
+    assert!(snap.gauge("atlas_load_errors") >= Some(1));
     assert_eq!(service.cache_len(), 0);
     std::fs::remove_file(&path).ok();
 }
@@ -165,13 +165,23 @@ fn batch_variant_miss_is_solved_as_a_near_miss_warm_start() {
         .optimize(&donor_layer, Objective::Energy, &mode())
         .unwrap();
     assert!(!donor.cache_hit);
-    assert_eq!(service.metrics_snapshot().near_miss_hits, 0);
+    assert_eq!(
+        service
+            .registry_snapshot()
+            .counter("near_miss_hits_total", None),
+        Some(0)
+    );
 
     let near = service
         .optimize(&near_layer, Objective::Energy, &mode())
         .unwrap();
     assert!(!near.cache_hit, "different batch is a different cache key");
-    assert_eq!(service.metrics_snapshot().near_miss_hits, 1);
+    assert_eq!(
+        service
+            .registry_snapshot()
+            .counter("near_miss_hits_total", None),
+        Some(1)
+    );
 
     // The near-miss solve's retained report carries the warm accounting.
     let report = service
@@ -195,7 +205,12 @@ fn batch_one_requests_never_use_a_donor() {
     service.optimize(&b2, Objective::Energy, &mode()).unwrap();
     service.optimize(&b1, Objective::Energy, &mode()).unwrap();
     // A batch-1 layer has no batch tiling variable, so it must solve cold.
-    assert_eq!(service.metrics_snapshot().near_miss_hits, 0);
+    assert_eq!(
+        service
+            .registry_snapshot()
+            .counter("near_miss_hits_total", None),
+        Some(0)
+    );
 }
 
 #[test]

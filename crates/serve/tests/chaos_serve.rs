@@ -55,10 +55,14 @@ fn panicked_worker_is_respawned_and_the_request_retried_transparently() {
         .optimize(&layer(), Objective::Energy, &mode())
         .unwrap();
     assert!(!first.cache_hit);
-    let snap = service.metrics_snapshot();
-    assert_eq!(snap.worker_respawns, 1);
-    assert_eq!(snap.solve_retries, 1);
-    assert_eq!(snap.solve_errors, 0, "panic was retried, not surfaced");
+    let snap = service.registry_snapshot();
+    assert_eq!(snap.counter("worker_respawns_total", None), Some(1));
+    assert_eq!(snap.counter("solve_retries_total", None), Some(1));
+    assert_eq!(
+        snap.counter("solve_errors_total", None),
+        Some(0),
+        "panic was retried, not surfaced"
+    );
     // The pool kept its capacity: the next request is served (from cache).
     let second = service
         .optimize(&layer(), Objective::Energy, &mode())
@@ -90,7 +94,12 @@ fn without_retries_the_panic_surfaces_as_a_clean_error() {
         .optimize(&layer(), Objective::Energy, &mode())
         .unwrap();
     assert!(!ok.cache_hit);
-    assert_eq!(service.metrics_snapshot().worker_respawns, 1);
+    assert_eq!(
+        service
+            .registry_snapshot()
+            .counter("worker_respawns_total", None),
+        Some(1)
+    );
 }
 
 #[test]
@@ -140,11 +149,15 @@ fn breaker_opens_after_consecutive_failures_and_recovers_via_probe() {
     let after = solve().unwrap();
     assert!(after.cache_hit, "breaker closed, shape served normally");
 
-    let snap = service.metrics_snapshot();
-    assert_eq!(snap.breaker_opened, 1);
-    assert_eq!(snap.breaker_fastfails, 2);
-    assert_eq!(snap.shed, 2, "breaker fast-fails count toward shed_total");
-    assert_eq!(snap.worker_respawns, 2);
+    let snap = service.registry_snapshot();
+    assert_eq!(snap.counter("breaker_opened_total", None), Some(1));
+    assert_eq!(snap.counter("breaker_fastfails_total", None), Some(2));
+    assert_eq!(
+        snap.counter("shed_total", None),
+        Some(2),
+        "breaker fast-fails count toward shed_total"
+    );
+    assert_eq!(snap.counter("worker_respawns_total", None), Some(2));
 }
 
 #[test]
@@ -174,9 +187,9 @@ fn queue_full_fault_sheds_the_request_with_retry_after() {
         }
         other => panic!("expected an overload shed, got {other:?}"),
     }
-    let snap = service.metrics_snapshot();
-    assert_eq!(snap.shed, 1);
-    assert_eq!(snap.browned_out, 0);
+    let snap = service.registry_snapshot();
+    assert_eq!(snap.counter("shed_total", None), Some(1));
+    assert_eq!(snap.counter("browned_out_total", None), Some(0));
     // The shed request never reached a worker; the retry solves fresh.
     let ok = service
         .optimize(&layer(), Objective::Energy, &mode())
@@ -203,7 +216,12 @@ fn slow_read_fault_closes_the_connection_with_408_and_recovers() {
 
     let (status, body) = http(port, "GET", "/healthz", "");
     assert_eq!(status, 408, "stalled connection times out: {}", body.emit());
-    assert_eq!(service.metrics_snapshot().deadline_closed, 1);
+    assert_eq!(
+        service
+            .registry_snapshot()
+            .counter("deadline_closed_total", None),
+        Some(1)
+    );
 
     let (status, _) = http(port, "GET", "/healthz", "");
     assert_eq!(status, 200, "server healthy after the deadline close");
@@ -349,9 +367,9 @@ fn abandoned_solve_is_cancelled_not_leaked() {
     // stands down (counted as a cancellation, not a solve error).
     let deadline = std::time::Instant::now() + Duration::from_secs(20);
     loop {
-        let snap = service.metrics_snapshot();
-        if snap.cancelled_solves >= 1 {
-            assert_eq!(snap.solve_errors, 0);
+        let snap = service.registry_snapshot();
+        if snap.counter("cancelled_solves_total", None) >= Some(1) {
+            assert_eq!(snap.counter("solve_errors_total", None), Some(0));
             break;
         }
         assert!(

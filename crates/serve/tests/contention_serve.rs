@@ -192,15 +192,12 @@ fn queue_wait_grows_under_saturation_while_solve_stays_flat() {
     // The instrumented locks recorded their acquisitions. (Phase
     // histograms are fed at the HTTP layer, which owns parse/serialize —
     // covered by `contention_surfaces_over_http`.)
-    let snap = service.metrics().snapshot();
+    let snap = service.registry_snapshot();
     for lock in ["solve_cache", "inflight"] {
-        let observed = snap
-            .locks
-            .iter()
-            .find(|l| l.lock == lock)
-            .unwrap_or_else(|| panic!("lock {lock} missing from snapshot"));
-        assert!(observed.acquisitions > 0, "{lock} never acquired");
-        assert!(observed.wait_count > 0, "{lock} wait histogram empty");
+        let acquisitions = snap.counter("lock_acquisitions_total", Some(lock));
+        assert!(acquisitions > Some(0), "{lock} never acquired");
+        let waits = snap.histogram("lock_wait_ms", Some(lock)).map(|h| h.count);
+        assert!(waits > Some(0), "{lock} wait histogram empty");
     }
 }
 
@@ -224,7 +221,9 @@ fn lock_observation_can_be_disabled() {
     // The breakdown still decomposes (queue/solve are pool timestamps),
     // only the lock-wait accounting is off.
     assert!(response.breakdown.solve_ms > 0.0);
-    assert!(service.metrics().snapshot().locks.is_empty());
+    let snap = service.registry_snapshot();
+    assert!(snap.counters.iter().all(|c| !c.name.starts_with("lock_")));
+    assert!(snap.histograms.iter().all(|h| !h.name.starts_with("lock_")));
 }
 
 /// End-to-end over HTTP: the response body carries the breakdown, both
@@ -274,7 +273,7 @@ fn contention_surfaces_over_http() {
     let (status, metrics) = http_get(port, "/metrics");
     assert_eq!(status, 200);
     let metrics = Json::parse(body_of(&metrics)).expect("metrics JSON");
-    let phases = metrics.get("phases").expect("phases section");
+    let phases = metrics.get("phase_latency_ms").expect("phases section");
     for phase in LatencyBreakdown::PHASES {
         assert!(phases.get(phase).is_some(), "phase {phase} missing");
     }
@@ -287,14 +286,16 @@ fn contention_surfaces_over_http() {
             .and_then(Json::as_u64)
             >= Some(1)
     );
-    let locks = metrics.get("locks").expect("locks section");
     for lock in ["solve_cache", "inflight"] {
-        let entry = locks
-            .get(lock)
-            .unwrap_or_else(|| panic!("lock {lock} missing"));
-        assert!(entry.get("acquisitions").and_then(Json::as_u64) > Some(0));
-        assert!(entry.get("wait_ms").and_then(|w| w.get("count")).is_some());
-        assert!(entry.get("hold_ms").and_then(|h| h.get("p95")).is_some());
+        let family = |name: &str| {
+            metrics
+                .get(name)
+                .and_then(|f| f.get(lock))
+                .unwrap_or_else(|| panic!("{name} of lock {lock} missing"))
+        };
+        assert!(family("lock_acquisitions").as_u64() > Some(0));
+        assert!(family("lock_wait_ms").get("count").is_some());
+        assert!(family("lock_hold_ms").get("p95").is_some());
     }
 
     // Prometheus exposition: the same families as labelled series.

@@ -128,11 +128,15 @@ fn brownout_sheds_cold_misses_but_serves_hits_and_warm_starts() {
         .unwrap();
     assert!(!near.cache_hit);
 
-    let snap = service.metrics_snapshot();
-    assert_eq!(snap.shed, 1);
-    assert_eq!(snap.browned_out, 1);
-    assert_eq!(snap.brownout_active, 1);
-    assert_eq!(snap.near_miss_hits, 1, "warm start ran under brown-out");
+    let snap = service.registry_snapshot();
+    assert_eq!(snap.counter("shed_total", None), Some(1));
+    assert_eq!(snap.counter("browned_out_total", None), Some(1));
+    assert_eq!(snap.gauge("brownout_active"), Some(1));
+    assert_eq!(
+        snap.counter("near_miss_hits_total", None),
+        Some(1),
+        "warm start ran under brown-out"
+    );
 
     // The same cold shape is still shed — brown-out never latched off
     // (low watermark 0 means `depth <= low` re-arms only at depth 0, but
@@ -143,7 +147,10 @@ fn brownout_sheds_cold_misses_but_serves_hits_and_warm_starts() {
             .unwrap_err(),
         ServeError::Overloaded { brownout: true, .. }
     ));
-    assert_eq!(service.metrics_snapshot().shed, 2);
+    assert_eq!(
+        service.registry_snapshot().counter("shed_total", None),
+        Some(2)
+    );
 }
 
 /// Raw one-shot request; returns (status, full header block, body).
